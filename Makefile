@@ -3,12 +3,12 @@
 GO ?= go
 
 .PHONY: build test race bench bench-micro bench-json bench-compare bench-smoke \
-	verify verify-obs replay-smoke stream-smoke trace-smoke fleet-smoke \
+	perfbench-test verify verify-obs replay-smoke stream-smoke trace-smoke fleet-smoke \
 	spec-smoke quota-smoke check-docs
 
 # The fault-servicing hot-path microbenchmarks (channel deque, EPC page
-# table, end-to-end HandleFault).
-BENCH_MICRO = BenchmarkPendingQueue|BenchmarkPendingMembership|BenchmarkEPCLookup|BenchmarkEPCPresent|BenchmarkHandleFault
+# table, service scan, end-to-end HandleFault).
+BENCH_MICRO = BenchmarkPendingQueue|BenchmarkPendingMembership|BenchmarkEPCLookup|BenchmarkEPCPresent|BenchmarkServiceScan|BenchmarkHandleFault
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,15 @@ bench-compare:
 bench-smoke:
 	$(GO) test ./internal/channel/ ./internal/epc/ ./internal/kernel/ ./internal/experiments/ \
 		-run '^$$' -bench . -benchtime 1x
+
+# The repo benchmark lives in its own module (perfbench/), which the root
+# `go test ./...` does not reach: vet and test it, then run one short
+# cohort-hits job and require its digest to match the committed reference.
+perfbench-test:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test .
+	bash perfbench/run.sh --workload cohort-hits --seed 1 --seconds 2 --trace 0 \
+		| tee /dev/stderr | grep -q '"correct":true'
 
 # Observability gate: build, race-test the instrumented packages, and
 # measure the hook plumbing (a no-op hook must stay within 15% of a nil

@@ -75,3 +75,54 @@ func BenchmarkEPCPresent(b *testing.B) {
 		}
 	}
 }
+
+// serviceScanSink keeps BenchmarkServiceScan's reads from being
+// optimized away.
+var serviceScanSink int
+
+// BenchmarkServiceScan measures one enclave's service-scan reads on a
+// shared EPC shaped like the cohort-hits benchmark: 64 owners over ~37k
+// frames, almost all demand-loaded, with a handful of preloaded pages per
+// owner. One op is one owner's ScanPreloadBitsRange plus OwnerScanStats,
+// the per-period work of kernel.MaybeScan under an adaptive arbiter.
+func BenchmarkServiceScan(b *testing.B) {
+	const (
+		owners     = 64
+		ownerPages = 768
+		pages      = owners * ownerPages
+		capacity   = pages * 3 / 4
+		preloads   = 3 // per owner
+	)
+	e, err := New(capacity, pages)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for o := 1; o <= owners; o++ {
+		if err := e.AddOwner(uint64(o * ownerPages)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for o := 0; o < owners; o++ {
+		base := mem.PageID(o * ownerPages)
+		for i := 0; i < capacity/owners; i++ {
+			if err := e.Load(base+mem.PageID(i), i < preloads); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		o := i % owners
+		lo := mem.PageID(o * ownerPages)
+		e.ScanPreloadBitsRange(lo, lo+ownerPages, true, func(_ mem.PageID, acc bool) {
+			if acc {
+				sink++
+			}
+		})
+		acc, res := e.OwnerScanStats(o)
+		sink += acc + res
+	}
+	serviceScanSink = sink
+}

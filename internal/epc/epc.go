@@ -63,14 +63,21 @@ func (p Policy) String() string {
 	}
 }
 
-// frame is the per-physical-frame metadata the driver keeps.
+// frame is the per-physical-frame metadata the driver keeps. It is held
+// at 32 bytes (TestFrameSize): a shared EPC has tens of thousands of them.
 type frame struct {
-	page      mem.PageID // resident virtual page, mem.NoPage if free
-	accessed  bool       // hardware access bit
-	preload   bool       // page arrived via preloading, not a demand fault
-	owner     int32      // owning enclave, stamped at Load, reset at Evict
-	loadedAt  uint64     // load sequence number (FIFO policy)
-	touchedAt uint64     // touch sequence number (LRU policy)
+	page mem.PageID // resident virtual page, mem.NoPage if free
+	// stamp is the sequence number the policy orders victims by: the
+	// load sequence under FIFO, the last-touch sequence under LRU
+	// (a load counts as a touch). The policy is fixed per EPC, so one
+	// field serves both.
+	stamp uint64
+	owner int32 // owning enclave, stamped at Load, reset at Evict
+	// preSlot is the preload bit (the page arrived via preloading, not
+	// a demand fault): 0 when clear, else 1 + the frame's index in its
+	// owner's preByOwner list.
+	preSlot  int32
+	accessed bool // hardware access bit
 }
 
 // EPC is the enclave page cache state for a single enclave.
@@ -99,6 +106,11 @@ type EPC struct {
 	// degenerate case, where ownership is pure bookkeeping.
 	ownerHi    []mem.PageID
 	resByOwner []int // resident frame count per owner
+	accByOwner []int // resident frames with the access bit set, per owner
+	// preByOwner lists, per owner, the frames whose preload bit is set
+	// (unordered; frame.preSlot locates each entry for swap-removal), so
+	// a service scan costs the owner's own preloads, not the whole EPC.
+	preByOwner [][]FrameID
 }
 
 // New returns an EPC with capacity physical frames serving an enclave
@@ -127,8 +139,10 @@ func NewWithPolicy(capacity int, elrangePages uint64, policy Policy) (*EPC, erro
 		pages:   elrangePages,
 		policy:  policy,
 		rnd:     0x2545f4914f6cdd1d,
-		// One counter for the implicit owner 0 until AddOwner is called.
+		// One entry for the implicit owner 0 until AddOwner is called.
 		resByOwner: make([]int, 1),
+		accByOwner: make([]int, 1),
+		preByOwner: make([][]FrameID, 1),
 	}
 	for i := range e.frames {
 		e.frames[i].page = mem.NoPage
@@ -181,6 +195,8 @@ func (e *EPC) AddOwner(hi uint64) error {
 	e.ownerHi = append(e.ownerHi, mem.PageID(hi))
 	if len(e.ownerHi) > 1 {
 		e.resByOwner = append(e.resByOwner, 0)
+		e.accByOwner = append(e.accByOwner, 0)
+		e.preByOwner = append(e.preByOwner, nil)
 	}
 	return nil
 }
@@ -216,21 +232,15 @@ func (e *EPC) OwnerResident(owner int) int {
 	return e.resByOwner[owner]
 }
 
-// OwnerScanStats counts owner's resident frames and how many of them have
-// the access bit set, without disturbing any bits. The adaptive quota
-// policy samples it at scan boundaries as its working-set signal.
+// OwnerScanStats returns owner's resident frame count and how many of
+// them have the access bit set, without disturbing any bits. The adaptive
+// quota policy samples it at scan boundaries as its working-set signal.
+// Both figures are maintained counters, so the call is O(1).
 func (e *EPC) OwnerScanStats(owner int) (accessed, resident int) {
-	for i := range e.frames {
-		fr := &e.frames[i]
-		if fr.page == mem.NoPage || int(fr.owner) != owner {
-			continue
-		}
-		resident++
-		if fr.accessed {
-			accessed++
-		}
+	if owner < 0 || owner >= len(e.resByOwner) {
+		return 0, 0
 	}
-	return accessed, resident
+	return e.accByOwner[owner], e.resByOwner[owner]
 }
 
 // Capacity returns the number of physical frames.
@@ -263,10 +273,14 @@ func (e *EPC) Touch(page mem.PageID) bool {
 	if !ok {
 		return false
 	}
-	e.frames[f].accessed = true
+	fr := &e.frames[f]
+	if !fr.accessed {
+		fr.accessed = true
+		e.accByOwner[fr.owner]++
+	}
 	if e.policy == PolicyLRU {
 		e.seq++
-		e.frames[f].touchedAt = e.seq
+		fr.stamp = e.seq
 	}
 	return true
 }
@@ -289,15 +303,13 @@ func (e *EPC) Load(page mem.PageID, preloaded bool) error {
 	e.free = e.free[:len(e.free)-1]
 	e.seq++
 	owner := e.ownerOf(page)
-	e.frames[f] = frame{
-		page:      page,
-		accessed:  !preloaded,
-		preload:   preloaded,
-		owner:     owner,
-		loadedAt:  e.seq,
-		touchedAt: e.seq,
-	}
+	e.frames[f] = frame{page: page, stamp: e.seq, owner: owner, accessed: !preloaded}
 	e.resByOwner[owner]++
+	if preloaded {
+		e.listPreload(f)
+	} else {
+		e.accByOwner[owner]++
+	}
 	e.pt.set(page, f)
 	e.present.Set(uint64(page))
 	return nil
@@ -310,8 +322,15 @@ func (e *EPC) Evict(page mem.PageID) bool {
 	if !ok {
 		return false
 	}
-	e.resByOwner[e.frames[f].owner]--
-	e.frames[f] = frame{page: mem.NoPage}
+	fr := &e.frames[f]
+	e.resByOwner[fr.owner]--
+	if fr.accessed {
+		e.accByOwner[fr.owner]--
+	}
+	if fr.preSlot != 0 {
+		e.unlistPreload(f)
+	}
+	*fr = frame{page: mem.NoPage}
 	e.free = append(e.free, f)
 	e.pt.remove(page)
 	e.present.Clear(uint64(page))
@@ -331,10 +350,8 @@ func (e *EPC) SelectVictim() mem.PageID {
 		return mem.NoPage
 	}
 	switch e.policy {
-	case PolicyFIFO:
-		return e.victimByMin(func(fr *frame) uint64 { return fr.loadedAt })
-	case PolicyLRU:
-		return e.victimByMin(func(fr *frame) uint64 { return fr.touchedAt })
+	case PolicyFIFO, PolicyLRU:
+		return e.victimByMin()
 	case PolicyRandom:
 		return e.victimRandom()
 	}
@@ -346,6 +363,7 @@ func (e *EPC) SelectVictim() mem.PageID {
 		}
 		if fr.accessed {
 			fr.accessed = false
+			e.accByOwner[fr.owner]--
 			continue
 		}
 		return fr.page
@@ -372,10 +390,8 @@ func (e *EPC) SelectVictimOwned(owner int) mem.PageID {
 	}
 	o := int32(owner)
 	switch e.policy {
-	case PolicyFIFO:
-		return e.victimByMinOwned(o, func(fr *frame) uint64 { return fr.loadedAt })
-	case PolicyLRU:
-		return e.victimByMinOwned(o, func(fr *frame) uint64 { return fr.touchedAt })
+	case PolicyFIFO, PolicyLRU:
+		return e.victimByMinOwned(o)
 	case PolicyRandom:
 		return e.victimRandomOwned(o)
 	}
@@ -387,6 +403,7 @@ func (e *EPC) SelectVictimOwned(owner int) mem.PageID {
 		}
 		if fr.accessed {
 			fr.accessed = false
+			e.accByOwner[fr.owner]--
 			continue
 		}
 		return fr.page
@@ -396,8 +413,9 @@ func (e *EPC) SelectVictimOwned(owner int) mem.PageID {
 	panic("epc: owned CLOCK failed to select a victim")
 }
 
-// victimByMinOwned scans for owner's occupied frame minimizing key.
-func (e *EPC) victimByMinOwned(owner int32, key func(*frame) uint64) mem.PageID {
+// victimByMinOwned scans for owner's occupied frame with the smallest
+// stamp.
+func (e *EPC) victimByMinOwned(owner int32) mem.PageID {
 	victim := mem.NoPage
 	best := uint64(0)
 	for i := range e.frames {
@@ -405,8 +423,8 @@ func (e *EPC) victimByMinOwned(owner int32, key func(*frame) uint64) mem.PageID 
 		if fr.page == mem.NoPage || fr.owner != owner {
 			continue
 		}
-		if k := key(fr); victim == mem.NoPage || k < best {
-			victim, best = fr.page, k
+		if victim == mem.NoPage || fr.stamp < best {
+			victim, best = fr.page, fr.stamp
 		}
 	}
 	return victim
@@ -427,8 +445,9 @@ func (e *EPC) victimRandomOwned(owner int32) mem.PageID {
 	}
 }
 
-// victimByMin scans for the occupied frame minimizing key.
-func (e *EPC) victimByMin(key func(*frame) uint64) mem.PageID {
+// victimByMin scans for the occupied frame with the smallest stamp (the
+// oldest load under FIFO, the oldest touch under LRU).
+func (e *EPC) victimByMin() mem.PageID {
 	victim := mem.NoPage
 	best := uint64(0)
 	for i := range e.frames {
@@ -436,8 +455,8 @@ func (e *EPC) victimByMin(key func(*frame) uint64) mem.PageID {
 		if fr.page == mem.NoPage {
 			continue
 		}
-		if k := key(fr); victim == mem.NoPage || k < best {
-			victim, best = fr.page, k
+		if victim == mem.NoPage || fr.stamp < best {
+			victim, best = fr.page, fr.stamp
 		}
 	}
 	return victim
@@ -460,7 +479,7 @@ func (e *EPC) victimRandom() mem.PageID {
 // Preloaded reports whether page is resident and arrived via preloading.
 func (e *EPC) Preloaded(page mem.PageID) bool {
 	f, ok := e.pt.lookup(page)
-	return ok && e.frames[f].preload
+	return ok && e.frames[f].preSlot != 0
 }
 
 // Accessed reports whether page is resident with its access bit set.
@@ -469,29 +488,62 @@ func (e *EPC) Accessed(page mem.PageID) bool {
 	return ok && e.frames[f].accessed
 }
 
-// ScanPreloadBits visits every resident preloaded page and reports it to
-// visit together with its access bit. The kernel service thread piggybacks
-// on its CLOCK access-bit scan to maintain DFP's PreloadedPageList; this
-// method is that scan. When clear is true the preload bit of visited
-// accessed pages is cleared so each correct preload is counted once.
-func (e *EPC) ScanPreloadBits(clear bool, visit func(page mem.PageID, accessed bool)) {
-	e.ScanPreloadBitsRange(0, mem.PageID(e.pages), clear, visit)
-}
-
-// ScanPreloadBitsRange is ScanPreloadBits restricted to pages in
-// [lo, hi). In multi-enclave mode each enclave's service scan covers only
-// its own ELRANGE slice of the shared EPC.
+// ScanPreloadBitsRange visits every resident preloaded page in
+// [lo, hi) and reports it to visit together with its access bit. The
+// kernel service thread piggybacks on its CLOCK access-bit scan to
+// maintain DFP's PreloadedPageList; this method is that scan. In
+// multi-enclave mode each enclave's service scan covers only its own
+// ELRANGE slice of the shared EPC. When clear is true the preload bit of
+// visited accessed pages is cleared so each correct preload is counted
+// once.
+//
+// The scan walks only the preload lists of the owners whose ranges meet
+// [lo, hi), so it costs those owners' preloaded frames, not the EPC's
+// capacity. Visit order is unspecified, and visit must not modify the
+// EPC.
 func (e *EPC) ScanPreloadBitsRange(lo, hi mem.PageID, clear bool, visit func(page mem.PageID, accessed bool)) {
-	for i := range e.frames {
-		fr := &e.frames[i]
-		if fr.page == mem.NoPage || !fr.preload || fr.page < lo || fr.page >= hi {
-			continue
-		}
-		visit(fr.page, fr.accessed)
-		if clear && fr.accessed {
-			fr.preload = false
+	if lo >= hi {
+		return
+	}
+	last := len(e.preByOwner) - 1
+	first := min(int(e.ownerOf(lo)), last)
+	last = min(int(e.ownerOf(hi-1)), last)
+	for o := first; o <= last; o++ {
+		// Backwards, so a swap-removal moves an already visited frame
+		// into the slot being cleared.
+		for i := len(e.preByOwner[o]) - 1; i >= 0; i-- {
+			f := e.preByOwner[o][i]
+			fr := &e.frames[f]
+			if fr.page < lo || fr.page >= hi {
+				continue
+			}
+			visit(fr.page, fr.accessed)
+			if clear && fr.accessed {
+				e.unlistPreload(f)
+			}
 		}
 	}
+}
+
+// listPreload sets frame f's preload bit by appending it to its owner's
+// preload list.
+func (e *EPC) listPreload(f FrameID) {
+	fr := &e.frames[f]
+	e.preByOwner[fr.owner] = append(e.preByOwner[fr.owner], f)
+	fr.preSlot = int32(len(e.preByOwner[fr.owner]))
+}
+
+// unlistPreload clears frame f's preload bit by swap-removing it from its
+// owner's preload list.
+func (e *EPC) unlistPreload(f FrameID) {
+	fr := &e.frames[f]
+	list := e.preByOwner[fr.owner]
+	i := fr.preSlot - 1
+	moved := list[len(list)-1]
+	list[i] = moved
+	e.frames[moved].preSlot = i + 1
+	e.preByOwner[fr.owner] = list[:len(list)-1]
+	fr.preSlot = 0
 }
 
 // ResidentPages returns the resident page set in frame order; for tests
@@ -507,15 +559,22 @@ func (e *EPC) ResidentPages() []mem.PageID {
 }
 
 // CheckInvariants verifies internal consistency: the page table, frame
-// table, free list, and presence bitmap must agree. Tests call it after
-// random operation sequences.
+// table, free list, presence bitmap, per-owner counters and per-owner
+// preload lists must agree. Tests call it after random operation
+// sequences.
 func (e *EPC) CheckInvariants() error {
 	occupied := 0
 	seen := make(map[FrameID]bool, len(e.frames))
 	resByOwner := make([]int, len(e.resByOwner))
+	accByOwner := make([]int, len(e.accByOwner))
 	for i := range e.frames {
-		p := e.frames[i].page
+		fr := &e.frames[i]
+		p := fr.page
 		if p == mem.NoPage {
+			if fr.preSlot != 0 || fr.accessed {
+				return fmt.Errorf("epc: free frame %d has bits set (preSlot %d, accessed %v)",
+					i, fr.preSlot, fr.accessed)
+			}
 			continue
 		}
 		occupied++
@@ -532,17 +591,42 @@ func (e *EPC) CheckInvariants() error {
 			return fmt.Errorf("epc: frame %d (page %d) stamped owner %d, range says %d",
 				i, p, o, e.ownerOf(p))
 		}
-		resByOwner[e.frames[i].owner]++
+		resByOwner[fr.owner]++
+		if fr.accessed {
+			accByOwner[fr.owner]++
+		}
+		if s := fr.preSlot; s != 0 {
+			list := e.preByOwner[fr.owner]
+			if s < 0 || int(s) > len(list) || list[s-1] != FrameID(i) {
+				return fmt.Errorf("epc: frame %d (page %d) has preSlot %d, not its slot in owner %d's preload list",
+					i, p, s, fr.owner)
+			}
+		}
 	}
-	// Per-owner resident counters must agree with the frame stamps and
-	// sum to the occupied total.
+	// Per-owner resident and access counters must agree with the frame
+	// stamps and bits, and the residents sum to the occupied total.
 	ownedTotal := 0
 	for o, n := range resByOwner {
 		if e.resByOwner[o] != n {
 			return fmt.Errorf("epc: owner %d counter says %d resident, frames say %d",
 				o, e.resByOwner[o], n)
 		}
+		if e.accByOwner[o] != accByOwner[o] {
+			return fmt.Errorf("epc: owner %d counter says %d accessed, frames say %d",
+				o, e.accByOwner[o], accByOwner[o])
+		}
 		ownedTotal += n
+	}
+	// Every preload-list entry is a resident frame of that owner whose
+	// preSlot points back at the entry, which also rules out duplicates.
+	for o, list := range e.preByOwner {
+		for i, f := range list {
+			fr := &e.frames[f]
+			if fr.page == mem.NoPage || int(fr.owner) != o || int(fr.preSlot) != i+1 {
+				return fmt.Errorf("epc: owner %d preload list slot %d holds frame %d (page %d, owner %d, preSlot %d)",
+					o, i, f, fr.page, fr.owner, fr.preSlot)
+			}
+		}
 	}
 	if ownedTotal != occupied {
 		return fmt.Errorf("epc: per-owner counts sum to %d, %d frames occupied",

@@ -3,6 +3,7 @@ package epc
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/rng"
@@ -137,6 +138,15 @@ func TestSelectVictimEmpty(t *testing.T) {
 	}
 }
 
+// TestFrameSize pins the per-frame metadata at 32 bytes. A shared EPC
+// holds tens of thousands of frames, so this is what keeps peak_heap_mb
+// flat: one more 8-byte word per frame costs ~0.3 MiB on a 37k-frame EPC.
+func TestFrameSize(t *testing.T) {
+	if got := unsafe.Sizeof(frame{}); got != 32 {
+		t.Fatalf("frame is %d bytes, want 32", got)
+	}
+}
+
 func TestPreloadBitLifecycle(t *testing.T) {
 	e := mustNew(t, 4, 100)
 	if err := e.Load(7, true); err != nil {
@@ -151,7 +161,7 @@ func TestPreloadBitLifecycle(t *testing.T) {
 
 	// Unaccessed preloads are visited but keep their bit.
 	var visits, accessed int
-	e.ScanPreloadBits(true, func(_ mem.PageID, acc bool) {
+	e.ScanPreloadBitsRange(0, mem.PageID(e.Pages()), true, func(_ mem.PageID, acc bool) {
 		visits++
 		if acc {
 			accessed++
@@ -167,7 +177,7 @@ func TestPreloadBitLifecycle(t *testing.T) {
 	// After a touch the scan counts it once and clears the bit.
 	e.Touch(7)
 	accessed = 0
-	e.ScanPreloadBits(true, func(_ mem.PageID, acc bool) {
+	e.ScanPreloadBitsRange(0, mem.PageID(e.Pages()), true, func(_ mem.PageID, acc bool) {
 		if acc {
 			accessed++
 		}
