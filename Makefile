@@ -101,9 +101,11 @@ trace-smoke:
 	SGXSIM_TRACESMOKE=1 $(GO) test ./cmd/sgxsim/ -run TestTraceSmoke -v
 
 # Cluster-fleet acceptance: a small timed-arrival fleet under each
-# placement policy, with the report required byte-identical between
+# placement policy, and the same list split over two static EPC domains
+# (-shards 2), with every report required byte-identical between
 # sequential (-parallel 1) and parallel (-parallel 8) host advancement.
 FLEET_SMOKE_ARGS = -bench leela,nab,exchange2,leela -fleet 2 -arrival-period 500000
+SHARDS_SMOKE_ARGS = -bench leela,nab,exchange2,leela -shards 2
 
 fleet-smoke:
 	rm -rf .fleet-smoke && mkdir -p .fleet-smoke
@@ -115,6 +117,10 @@ fleet-smoke:
 		cmp .fleet-smoke/$$p.seq.txt .fleet-smoke/$$p.par.txt || exit 1; \
 		grep -q 'fleet-wide fault latency' .fleet-smoke/$$p.seq.txt || exit 1; \
 	done
+	$(GO) run ./cmd/sgxsim $(SHARDS_SMOKE_ARGS) -parallel 1 > .fleet-smoke/shards.seq.txt
+	$(GO) run ./cmd/sgxsim $(SHARDS_SMOKE_ARGS) -parallel 8 > .fleet-smoke/shards.par.txt
+	cmp .fleet-smoke/shards.seq.txt .fleet-smoke/shards.par.txt
+	grep -q 'over 2 shard(s)' .fleet-smoke/shards.seq.txt
 	rm -rf .fleet-smoke
 
 # Arrival-spec acceptance: the golden manifest must match the committed
@@ -168,6 +174,7 @@ check-docs:
 
 # The full pre-merge gate.
 verify: verify-obs stream-smoke trace-smoke fleet-smoke spec-smoke quota-smoke check-docs
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -63,7 +63,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sgxsim", flag.ContinueOnError)
 	var (
 		bench      = fs.String("bench", "microbenchmark", "benchmark name, or a comma-separated list for a shared-EPC co-run (-list to enumerate)")
-		shards     = fs.Int("shards", 1, "with a multi-benchmark -bench list, split the enclaves round-robin over this many independent EPC domains simulated in parallel")
+		shards     = fs.Int("shards", 1, "with a multi-benchmark -bench list, split the enclaves round-robin over this many independent EPC domains simulated in parallel (-parallel workers)")
 		fleetHosts = fs.Int("fleet", 0, "simulate a cluster of this many SGX hosts on one shared clock: the -bench list arrives over time (one launch per -arrival-period) and is placed by -fleet-policy")
 		specPath   = fs.String("spec", "", "with -fleet, compile this JSON workload spec (cohorts with arrival processes; see WORKLOADS.md) into the cluster's arrival stream instead of the -bench list")
 		rateScale  = fs.Float64("rate-scale", 1, "with -spec, multiply every cohort's arrival rate (the saturation knob)")
@@ -85,7 +85,7 @@ func run(args []string, out io.Writer) error {
 		compare    = fs.Bool("compare", false, "also run the baseline and report the improvement")
 		tracePath  = fs.String("trace", "", "write the run's event timeline (JSONL; a .csv extension selects CSV)")
 		metricsOut = fs.String("metrics-out", "", "write derived metrics (text report; a .svg extension renders the timeline chart)")
-		parallel   = fs.Int("parallel", 0, "worker pool for -compare runs and -fleet host advancement (0 = GOMAXPROCS; output is identical at any setting)")
+		parallel   = fs.Int("parallel", 0, "worker pool for -compare runs and -shards/-fleet host advancement (0 = GOMAXPROCS; output is identical at any setting)")
 		progress   = fs.Bool("progress", false, "report each completed run on stderr")
 		replayPath = fs.String("replay", "", "replay a recorded trace (JSONL, or CSV for .csv) instead of simulating")
 		diffMode   = fs.Bool("diff", false, "diff two recorded traces given as positional args: -diff a.jsonl b.jsonl")
@@ -147,6 +147,24 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	o := fleetOpts{
+		hosts:      *shards,
+		scheme:     sch,
+		dfp:        d,
+		predictor:  core.Kind(strings.ToLower(*predictor)),
+		policy:     pol,
+		quota:      quota,
+		epcPages:   *epcPages,
+		stream:     *streamMode,
+		repeat:     *repeat,
+		reclaim:    *reclaim,
+		threshold:  *threshold,
+		tracePath:  *tracePath,
+		metricsOut: *metricsOut,
+		serveAddr:  *serveAddr,
+		workers:    *parallel,
+	}
+
 	// -fleet is the cluster path: the -bench list (or a compiled -spec)
 	// becomes a timed arrival stream placed onto -fleet hosts on one
 	// shared clock.
@@ -167,25 +185,11 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		o := clusterOpts{
-			hosts:         *fleetHosts,
-			placement:     pl,
-			arrivalPeriod: uint64(*arrPeriod),
-			admitPeriod:   uint64(*admPeriod),
-			admitBurst:    *admBurst,
-			scheme:        sch,
-			dfp:           d,
-			predictor:     core.Kind(strings.ToLower(*predictor)),
-			policy:        pol,
-			quota:         quota,
-			epcPages:      *epcPages,
-			stream:        *streamMode,
-			repeat:        *repeat,
-			reclaim:       *reclaim,
-			threshold:     *threshold,
-			tracePath:     *tracePath,
-			workers:       *parallel,
-		}
+		o.hosts = *fleetHosts
+		o.placement = pl
+		o.arrivalPeriod = uint64(*arrPeriod)
+		o.admitPeriod = uint64(*admPeriod)
+		o.admitBurst = *admBurst
 		if *specPath != "" {
 			return runSpecFleet(*specPath, *rateScale, o, out)
 		}
@@ -203,22 +207,7 @@ func run(args []string, out io.Writer) error {
 		if *compare {
 			return fmt.Errorf("-compare applies to single-benchmark runs")
 		}
-		return runFleet(names, fleetOpts{
-			scheme:     sch,
-			dfp:        d,
-			predictor:  core.Kind(strings.ToLower(*predictor)),
-			policy:     pol,
-			quota:      quota,
-			epcPages:   *epcPages,
-			shards:     *shards,
-			stream:     *streamMode,
-			repeat:     *repeat,
-			reclaim:    *reclaim,
-			threshold:  *threshold,
-			tracePath:  *tracePath,
-			metricsOut: *metricsOut,
-			serveAddr:  *serveAddr,
-		}, out)
+		return runFleet(names, o, out)
 	}
 
 	w, err := workload.ByName(*bench)
@@ -382,175 +371,10 @@ func buildSelection(w *workload.Workload, epcPages int, d dfp.Config, threshold 
 	return sip.Select(cl.Profile(), threshold, 32), nil
 }
 
-// fleetOpts carries the flag values of a multi-enclave run.
+// fleetOpts carries the flag values of a multi-enclave run: a -bench
+// list co-run, its -shards split, or a -fleet cluster.
 type fleetOpts struct {
-	scheme     sim.Scheme
-	dfp        dfp.Config
-	predictor  core.Kind
-	policy     epc.Policy
-	quota      arbiter.Policy
-	epcPages   int
-	shards     int
-	stream     bool
-	repeat     int
-	reclaim    bool
-	threshold  float64
-	tracePath  string
-	metricsOut string
-	serveAddr  string
-}
-
-// runFleet co-simulates one enclave per benchmark name over o.shards
-// independent EPC domains (round-robin placement, o.epcPages frames per
-// domain) and prints a per-enclave result table. Shards simulate on
-// worker goroutines with a deterministic merge, so the table is
-// identical at any parallelism; a one-shard run is byte-identical to
-// the plain shared-EPC engine. -metrics-out and -serve attach one hook
-// at engine level, so they remain limited to single-shard runs; -trace
-// works at any shard count — each EPC domain streams its own timeline
-// to <path>.shard<N>, mirroring the cluster fleet's per-host traces,
-// and each domain is single-goroutine so every per-shard trace is
-// byte-identical at any worker count.
-func runFleet(names []string, o fleetOpts, out io.Writer) error {
-	if o.shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", o.shards)
-	}
-	if (o.metricsOut != "" || o.serveAddr != "") && o.shards > 1 {
-		return fmt.Errorf("-metrics-out/-serve record one engine's timeline; use -shards 1 (-trace writes per-shard files at any shard count)")
-	}
-	encs := make([]sim.Enclave, len(names))
-	for i, name := range names {
-		w, err := workload.ByName(strings.TrimSpace(name))
-		if err != nil {
-			return err
-		}
-		enc := sim.Enclave{
-			Name:              w.Name,
-			Pages:             w.ELRangePages(),
-			Scheme:            o.scheme,
-			DFP:               o.dfp,
-			Predictor:         o.predictor,
-			BackgroundReclaim: o.reclaim,
-		}
-		if o.scheme.UsesSIP() {
-			sel, err := buildSelection(w, o.epcPages, o.dfp, o.threshold, o.stream)
-			if err != nil {
-				return err
-			}
-			enc.Selection = sel
-			fmt.Fprintf(out, "SIP profile (%s):  %d instrumentation points at threshold %.0f%%\n",
-				w.Name, sel.Points(), o.threshold*100)
-		}
-		if o.stream {
-			enc.Stream = repeatStream(w, o.repeat)
-		} else {
-			enc.Trace = w.Generate(workload.Ref)
-		}
-		encs[i] = enc
-	}
-	groups, err := sim.ShardRoundRobin(encs, o.shards)
-	if err != nil {
-		return err
-	}
-	scfg := sim.SharedConfig{EPCPages: o.epcPages, EvictPolicy: o.policy, Quota: o.quota}
-
-	// -trace streams per shard: one sink per EPC domain, resolved through
-	// the per-shard HookFactory. A single-shard run keeps the flat path
-	// (no .shard0 tag) and may tee -metrics-out/-serve hooks beside it.
-	var rec *obs.Recorder
-	var hooks []obs.Hook
-	var sinks []*obs.StreamSink
-	var sinkPaths []string
-	closeSinks := func() {
-		for _, s := range sinks {
-			s.Close()
-		}
-	}
-	if o.tracePath != "" {
-		paths := []string{o.tracePath}
-		if len(groups) > 1 {
-			paths = paths[:0]
-			for i := range groups {
-				paths = append(paths, taggedTracePath(o.tracePath, fmt.Sprintf("shard%d", i)))
-			}
-		}
-		for _, path := range paths {
-			s, err := obs.NewStreamSinkFile(path)
-			if err != nil {
-				closeSinks()
-				return err
-			}
-			sinks = append(sinks, s)
-			sinkPaths = append(sinkPaths, path)
-		}
-		if len(groups) == 1 {
-			hooks = append(hooks, sinks[0])
-		} else {
-			scfg.HookFactory = func(shard int) obs.Hook { return sinks[shard] }
-		}
-	}
-	if o.metricsOut != "" {
-		rec = obs.NewRecorder()
-		hooks = append(hooks, rec)
-	}
-	if o.serveAddr != "" {
-		ring := obs.NewRing(0)
-		hooks = append(hooks, ring)
-		stop, err := serveMetrics(o.serveAddr, ring, out)
-		if err != nil {
-			closeSinks()
-			return err
-		}
-		defer stop()
-	}
-	if len(hooks) > 0 {
-		scfg.Hook = obs.Tee(hooks...)
-	}
-
-	results, err := sim.RunSharded(groups, scfg, 0)
-	if err != nil {
-		closeSinks()
-		return err
-	}
-
-	fmt.Fprintf(out, "fleet:            %d enclaves over %d shard(s), EPC %d pages per shard, scheme %s%s\n",
-		len(encs), len(groups), o.epcPages, o.scheme, quotaTag(o.quota))
-	tbl := &stats.Table{Header: []string{
-		"shard", "enclave", "cycles", "accesses", "hits", "faults", "preloads", "fault-cycles",
-	}}
-	for s, shard := range results {
-		for _, r := range shard {
-			tbl.Add(s, r.Name, r.Cycles, r.Accesses, r.Hits, r.Kernel.DemandFaults,
-				r.Kernel.PreloadsStarted,
-				fmt.Sprintf("%.1f%%", 100*float64(r.FaultCycles())/float64(r.Cycles)))
-		}
-	}
-	fmt.Fprint(out, tbl.String())
-
-	for i, s := range sinks {
-		if err := s.Close(); err != nil {
-			closeSinks()
-			return fmt.Errorf("trace %s: %w", sinkPaths[i], err)
-		}
-		if len(sinks) == 1 {
-			fmt.Fprintf(out, "trace:            %d events -> %s\n", s.Events(), sinkPaths[i])
-		} else {
-			fmt.Fprintf(out, "trace shard %d:    %d events -> %s\n", i, s.Events(), sinkPaths[i])
-		}
-	}
-	if rec != nil {
-		title := fmt.Sprintf("fleet of %d / %s", len(encs), o.scheme)
-		if err := writeMetrics(rec, title, o.metricsOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "metrics:          %s\n", o.metricsOut)
-	}
-	return nil
-}
-
-// clusterOpts carries the flag values of a -fleet cluster run.
-type clusterOpts struct {
-	hosts         int
+	hosts         int // -shards EPC domains or -fleet hosts
 	placement     fleet.Policy
 	arrivalPeriod uint64
 	admitPeriod   uint64
@@ -566,7 +390,163 @@ type clusterOpts struct {
 	reclaim       bool
 	threshold     float64
 	tracePath     string
+	metricsOut    string
+	serveAddr     string
 	workers       int
+}
+
+// benchEnclave builds the enclave for one -bench list entry under the
+// run's scheme, labelled name in results and traces: SIP runs profile
+// the workload's Train input first, streamed runs pull the Ref trace on
+// demand, materialized runs generate it up front.
+func benchEnclave(w *workload.Workload, name string, o fleetOpts) (sim.Enclave, error) {
+	enc := sim.Enclave{
+		Name:              name,
+		Pages:             w.ELRangePages(),
+		Scheme:            o.scheme,
+		DFP:               o.dfp,
+		Predictor:         o.predictor,
+		BackgroundReclaim: o.reclaim,
+	}
+	if o.scheme.UsesSIP() {
+		sel, err := buildSelection(w, o.epcPages, o.dfp, o.threshold, o.stream)
+		if err != nil {
+			return sim.Enclave{}, err
+		}
+		enc.Selection = sel
+	}
+	if o.stream {
+		enc.Stream = repeatStream(w, o.repeat)
+	} else {
+		enc.Trace = w.Generate(workload.Ref)
+	}
+	return enc, nil
+}
+
+// runFleet co-simulates one enclave per benchmark name over o.hosts
+// independent EPC domains (round-robin placement, o.epcPages frames per
+// domain; the domain count clamps to the enclave count) and prints a
+// per-enclave result table. One domain is the shared-EPC engine itself
+// (sim.RunShared), the only shape that takes -metrics-out and -serve.
+// More domains are a fleet with every enclave arriving at t=0 and no
+// admission control, its hosts advanced on -parallel workers with a
+// deterministic merge, so the table is identical at any parallelism.
+// -trace works at any domain count — each EPC domain streams its own
+// timeline to <path>.shard<N>, mirroring the cluster fleet's per-host
+// traces, and each domain is single-goroutine so every per-shard trace
+// is byte-identical at any worker count.
+func runFleet(names []string, o fleetOpts, out io.Writer) error {
+	if o.hosts < 1 {
+		return fmt.Errorf("-shards must be >= 1, got %d", o.hosts)
+	}
+	if (o.metricsOut != "" || o.serveAddr != "") && o.hosts > 1 {
+		return fmt.Errorf("-metrics-out/-serve record one engine's timeline; use -shards 1 (-trace writes per-shard files at any shard count)")
+	}
+	encs := make([]sim.Enclave, len(names))
+	for i, name := range names {
+		w, err := workload.ByName(strings.TrimSpace(name))
+		if err != nil {
+			return err
+		}
+		if encs[i], err = benchEnclave(w, w.Name, o); err != nil {
+			return err
+		}
+		if sel := encs[i].Selection; sel != nil {
+			fmt.Fprintf(out, "SIP profile (%s):  %d instrumentation points at threshold %.0f%%\n",
+				w.Name, sel.Points(), o.threshold*100)
+		}
+	}
+	domains := min(o.hosts, len(encs))
+	scfg := sim.SharedConfig{EPCPages: o.epcPages, EvictPolicy: o.policy, Quota: o.quota}
+
+	var results [][]sim.SharedResult
+	var traces domainTraces
+	var rec *obs.Recorder
+	if domains > 1 {
+		arrivals := make([]fleet.Arrival, len(encs))
+		for i, e := range encs {
+			arrivals[i] = fleet.Arrival{At: 0, Enclave: e}
+		}
+		cfg := fleet.Config{Hosts: domains, Policy: fleet.RoundRobin, Platform: scfg, Workers: o.workers}
+		if o.tracePath != "" {
+			var err error
+			if traces, err = openDomainTraces(o.tracePath, "shard", domains); err != nil {
+				return err
+			}
+			cfg.Platform.HookFactory = traces.hook
+		}
+		res, err := fleet.Run(arrivals, cfg)
+		if err != nil {
+			traces.abort()
+			return err
+		}
+		for _, hr := range res.Hosts {
+			results = append(results, hr.Enclaves)
+		}
+	} else {
+		// One domain keeps the flat trace path (no .shard0 tag) and may
+		// tee -metrics-out/-serve hooks beside it.
+		var hooks []obs.Hook
+		if o.tracePath != "" {
+			var err error
+			if traces, err = openDomainTraces(o.tracePath, "", 1); err != nil {
+				return err
+			}
+			hooks = append(hooks, traces.sinks[0])
+		}
+		if o.metricsOut != "" {
+			rec = obs.NewRecorder()
+			hooks = append(hooks, rec)
+		}
+		if o.serveAddr != "" {
+			ring := obs.NewRing(0)
+			hooks = append(hooks, ring)
+			stop, err := serveMetrics(o.serveAddr, ring, out)
+			if err != nil {
+				traces.abort()
+				return err
+			}
+			defer stop()
+		}
+		scfg.Hook = obs.Tee(hooks...)
+		res, err := sim.RunShared(encs, scfg)
+		if err != nil {
+			traces.abort()
+			return err
+		}
+		results = [][]sim.SharedResult{res}
+	}
+
+	fmt.Fprintf(out, "fleet:            %d enclaves over %d shard(s), EPC %d pages per shard, scheme %s%s\n",
+		len(encs), domains, o.epcPages, o.scheme, quotaTag(o.quota))
+	tbl := &stats.Table{Header: []string{
+		"shard", "enclave", "cycles", "accesses", "hits", "faults", "preloads", "fault-cycles",
+	}}
+	for s, shard := range results {
+		for _, r := range shard {
+			tbl.Add(s, r.Name, r.Cycles, r.Accesses, r.Hits, r.Kernel.DemandFaults,
+				r.Kernel.PreloadsStarted,
+				fmt.Sprintf("%.1f%%", 100*float64(r.FaultCycles())/float64(r.Cycles)))
+		}
+	}
+	fmt.Fprint(out, tbl.String())
+
+	if err := traces.finish(out, func(i int) string {
+		if domains == 1 {
+			return "trace:            "
+		}
+		return fmt.Sprintf("trace shard %d:    ", i)
+	}); err != nil {
+		return err
+	}
+	if rec != nil {
+		title := fmt.Sprintf("fleet of %d / %s", len(encs), o.scheme)
+		if err := writeMetrics(rec, title, o.metricsOut); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "metrics:          %s\n", o.metricsOut)
+	}
+	return nil
 }
 
 // runClusterFleet turns the benchmark list into a timed arrival stream
@@ -578,32 +558,16 @@ type clusterOpts struct {
 // report is identical at any parallelism. With -trace, each host
 // records its own timeline to <path>.host<N> — the per-host counterpart
 // of the single-engine trace.
-func runClusterFleet(names []string, o clusterOpts, out io.Writer) error {
+func runClusterFleet(names []string, o fleetOpts, out io.Writer) error {
 	arrivals := make([]fleet.Arrival, len(names))
 	for i, name := range names {
 		w, err := workload.ByName(strings.TrimSpace(name))
 		if err != nil {
 			return err
 		}
-		enc := sim.Enclave{
-			Name:              fmt.Sprintf("%s/%d", w.Name, i),
-			Pages:             w.ELRangePages(),
-			Scheme:            o.scheme,
-			DFP:               o.dfp,
-			Predictor:         o.predictor,
-			BackgroundReclaim: o.reclaim,
-		}
-		if o.scheme.UsesSIP() {
-			sel, err := buildSelection(w, o.epcPages, o.dfp, o.threshold, o.stream)
-			if err != nil {
-				return err
-			}
-			enc.Selection = sel
-		}
-		if o.stream {
-			enc.Stream = repeatStream(w, o.repeat)
-		} else {
-			enc.Trace = w.Generate(workload.Ref)
+		enc, err := benchEnclave(w, fmt.Sprintf("%s/%d", w.Name, i), o)
+		if err != nil {
+			return err
 		}
 		arrivals[i] = fleet.Arrival{At: uint64(i) * o.arrivalPeriod, Enclave: enc}
 	}
@@ -615,7 +579,7 @@ func runClusterFleet(names []string, o clusterOpts, out io.Writer) error {
 // path. The compilation is seeded by the spec, so the whole run —
 // launch times, workload picks, modifiers, placements, and the report —
 // is identical at any -parallel setting.
-func runSpecFleet(path string, rateScale float64, o clusterOpts, out io.Writer) error {
+func runSpecFleet(path string, rateScale float64, o fleetOpts, out io.Writer) error {
 	s, err := spec.Load(path)
 	if err != nil {
 		return err
@@ -640,7 +604,7 @@ func runSpecFleet(path string, rateScale float64, o clusterOpts, out io.Writer) 
 
 // runFleetArrivals is the shared cluster tail: place the arrival stream
 // onto o.hosts hosts, run to completion, and print the per-host report.
-func runFleetArrivals(arrivals []fleet.Arrival, o clusterOpts, out io.Writer) error {
+func runFleetArrivals(arrivals []fleet.Arrival, o fleetOpts, out io.Writer) error {
 	cfg := fleet.Config{
 		Hosts:       o.hosts,
 		Policy:      o.placement,
@@ -649,34 +613,18 @@ func runFleetArrivals(arrivals []fleet.Arrival, o clusterOpts, out io.Writer) er
 		AdmitBurst:  o.admitBurst,
 		Workers:     o.workers,
 	}
-	// Per-host traces stream through one sink per host, so a long fleet
-	// run never holds host timelines in memory. The sinks are opened
-	// up-front (the HookFactory cannot surface file errors) and resolved
-	// by host index.
-	var sinks []*obs.StreamSink
-	var sinkPaths []string
-	closeSinks := func() {
-		for _, s := range sinks {
-			s.Close()
-		}
-	}
+	var traces domainTraces
 	if o.tracePath != "" {
-		for h := 0; h < o.hosts; h++ {
-			path := taggedTracePath(o.tracePath, fmt.Sprintf("host%d", h))
-			s, err := obs.NewStreamSinkFile(path)
-			if err != nil {
-				closeSinks()
-				fleet.CloseArrivals(arrivals)
-				return err
-			}
-			sinks = append(sinks, s)
-			sinkPaths = append(sinkPaths, path)
+		var err error
+		if traces, err = openDomainTraces(o.tracePath, "host", o.hosts); err != nil {
+			fleet.CloseArrivals(arrivals)
+			return err
 		}
-		cfg.Platform.HookFactory = func(h int) obs.Hook { return sinks[h] }
+		cfg.Platform.HookFactory = traces.hook
 	}
 	res, err := fleet.Run(arrivals, cfg)
 	if err != nil {
-		closeSinks()
+		traces.abort()
 		return err
 	}
 
@@ -698,13 +646,57 @@ func runFleetArrivals(arrivals []fleet.Arrival, o clusterOpts, out io.Writer) er
 	if len(res.Shed) > 0 {
 		fmt.Fprintf(out, "shed at the front door: %s\n", strings.Join(res.Shed, ", "))
 	}
+	return traces.finish(out, func(h int) string { return fmt.Sprintf("trace host %d:     ", h) })
+}
 
-	for h, s := range sinks {
-		if err := s.Close(); err != nil {
-			closeSinks()
-			return fmt.Errorf("trace %s: %w", sinkPaths[h], err)
+// domainTraces streams one trace file per EPC domain, so a long
+// multi-domain run never holds a timeline in memory. The sinks are
+// opened up front (a HookFactory cannot surface file errors) and
+// resolved by domain index. The zero value traces nothing.
+type domainTraces struct {
+	sinks []*obs.StreamSink
+	paths []string
+}
+
+// openDomainTraces opens n sinks at path tagged <tag><index> (see
+// taggedTracePath); an empty tag, for a single domain, keeps path as is.
+func openDomainTraces(path, tag string, n int) (domainTraces, error) {
+	var d domainTraces
+	for i := 0; i < n; i++ {
+		p := path
+		if tag != "" {
+			p = taggedTracePath(path, fmt.Sprintf("%s%d", tag, i))
 		}
-		fmt.Fprintf(out, "trace host %d:     %d events -> %s\n", h, s.Events(), sinkPaths[h])
+		s, err := obs.NewStreamSinkFile(p)
+		if err != nil {
+			d.abort()
+			return domainTraces{}, err
+		}
+		d.sinks = append(d.sinks, s)
+		d.paths = append(d.paths, p)
+	}
+	return d, nil
+}
+
+// hook is the HookFactory resolving domain i to its sink.
+func (d domainTraces) hook(i int) obs.Hook { return d.sinks[i] }
+
+// abort closes every sink on a failed run.
+func (d domainTraces) abort() {
+	for _, s := range d.sinks {
+		s.Close()
+	}
+}
+
+// finish flushes and closes the sinks in domain order, printing one
+// "<label(i)><events> events -> <path>" line per domain.
+func (d domainTraces) finish(out io.Writer, label func(i int) string) error {
+	for i, s := range d.sinks {
+		if err := s.Close(); err != nil {
+			d.abort()
+			return fmt.Errorf("trace %s: %w", d.paths[i], err)
+		}
+		fmt.Fprintf(out, "%s%d events -> %s\n", label(i), s.Events(), d.paths[i])
 	}
 	return nil
 }

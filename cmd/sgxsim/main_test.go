@@ -402,13 +402,49 @@ func TestFleetShards(t *testing.T) {
 	}
 }
 
+// TestShardsClampToEnclaveCount: -shards never builds an empty EPC
+// domain — the domain count clamps to the enclave count — and the
+// table is byte-identical at -parallel 1 and 8.
+func TestShardsClampToEnclaveCount(t *testing.T) {
+	const shards = 4
+	benches := []string{"leela", "nab", "exchange2", "leela"}
+	cases := []struct {
+		name     string
+		enclaves int
+	}{
+		{"single", 1},
+		{"one-less-than-shards", shards - 1},
+		{"exactly-shards", shards},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			mk := func(parallel string) string {
+				var buf strings.Builder
+				args := []string{"-bench", strings.Join(benches[:c.enclaves], ","),
+					"-shards", fmt.Sprint(shards), "-parallel", parallel}
+				if err := run(args, &buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.String()
+			}
+			out := mk("1")
+			if want := fmt.Sprintf("%d enclaves over %d shard(s)", c.enclaves, c.enclaves); !strings.Contains(out, want) {
+				t.Errorf("output missing %q:\n%s", want, out)
+			}
+			if par := mk("8"); par != out {
+				t.Errorf("-parallel 8 output differs from -parallel 1:\n--- 1\n%s--- 8\n%s", out, par)
+			}
+		})
+	}
+}
+
 func TestFleetFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-bench", "lbm,deepsjeng", "-compare"},                      // compare is single-bench
-		{"-bench", "lbm,deepsjeng", "-shards", "0"},                  // invalid shard count
+		{"-bench", "lbm,deepsjeng", "-compare"},                        // compare is single-bench
+		{"-bench", "lbm,deepsjeng", "-shards", "0"},                    // invalid shard count
 		{"-bench", "lbm,mcf", "-shards", "2", "-metrics-out", "x.txt"}, // one-engine report needs one shard
-		{"-bench", "lbm,nope"},                                       // unknown member
-		{"-bench", "lbm,bwaves", "-scheme", "sip"},                   // uninstrumentable member
+		{"-bench", "lbm,nope"},                                         // unknown member
+		{"-bench", "lbm,bwaves", "-scheme", "sip"},                     // uninstrumentable member
 	} {
 		var buf strings.Builder
 		if err := run(args, &buf); err == nil {
@@ -542,9 +578,9 @@ func TestClusterFleetTraces(t *testing.T) {
 func TestClusterFleetErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bench", "leela,nab", "-fleet", "2", "-fleet-policy", "nope"}, // unknown policy
-		{"-bench", "leela,nab", "-fleet", "2", "-compare"},             // compare is single-bench
-		{"-bench", "leela,nab", "-fleet", "2", "-shards", "2"},         // two fleet shapes
-		{"-bench", "leela,nab", "-fleet", "2", "-serve", ":0"},         // serve is single-engine
+		{"-bench", "leela,nab", "-fleet", "2", "-compare"},              // compare is single-bench
+		{"-bench", "leela,nab", "-fleet", "2", "-shards", "2"},          // two fleet shapes
+		{"-bench", "leela,nab", "-fleet", "2", "-serve", ":0"},          // serve is single-engine
 		{"-bench", "leela,nab", "-fleet", "2", "-arrival-period", "-1"},
 	} {
 		var buf strings.Builder
@@ -726,7 +762,7 @@ func TestSpecRateScale(t *testing.T) {
 
 func TestSpecFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-spec", fixtureSpec},                      // no -fleet
+		{"-spec", fixtureSpec}, // no -fleet
 		{"-spec", "no/such/spec.json", "-fleet", "2"},
 		{"-spec", fixtureSpec, "-fleet", "2", "-rate-scale", "-1"},
 	} {

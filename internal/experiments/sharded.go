@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"sgxpreload/internal/fleet"
 	"sgxpreload/internal/sim"
 	"sgxpreload/internal/stats"
 	"sgxpreload/internal/workload"
@@ -14,9 +15,10 @@ import (
 // physical EPC; at shards == enclaves every enclave runs isolated, the
 // solo reference. The settings in between are what a multi-host
 // deployment looks like, and the sweep quantifies how much of the
-// contention slowdown each added EPC domain buys back. Shards simulate
-// on the runner's worker pool via sim.RunSharded; the table is
-// byte-identical at any parallelism.
+// contention slowdown each added EPC domain buys back. Each setting is
+// a fleet.Run with the whole population arriving at t=0, round-robin
+// placement and no admission control, its hosts advanced on the
+// runner's worker pool; the table is byte-identical at any parallelism.
 
 // shardedFleetBenches is the fleet's composition: two regular, one
 // irregular, one fault-dominated benchmark, replicated twice — eight
@@ -38,39 +40,42 @@ type ShardedFleetResult struct {
 
 // ShardedFleet sweeps the eight-enclave fleet over 1, 2, 4, and 8 EPC
 // domains. Each domain has the runner's EPCPages frames, every enclave
-// runs DFP-stop, and placement is the sharded runner's deterministic
+// runs DFP-stop, and placement is the fleet's deterministic
 // round-robin.
 func ShardedFleet(r *Runner) (ShardedFleetResult, error) {
 	out := ShardedFleetResult{Shards: []int{1, 2, 4, 8}}
-	encs := make([]sim.Enclave, len(shardedFleetBenches))
+	// The whole population arrives at t=0; materialized traces hold no
+	// resources, so every setting reuses the same arrival slice.
+	arrivals := make([]fleet.Arrival, len(shardedFleetBenches))
 	for i, name := range shardedFleetBenches {
 		w, err := mustWorkload(name)
 		if err != nil {
 			return out, err
 		}
-		encs[i] = sim.Enclave{
+		arrivals[i].Enclave = sim.Enclave{
 			Name:   fmt.Sprintf("%s/%d", name, i/4),
 			Trace:  r.Trace(w, workload.Ref),
 			Pages:  w.ELRangePages(),
 			Scheme: sim.DFPStop,
 		}
-		out.Names = append(out.Names, encs[i].Name)
+		out.Names = append(out.Names, arrivals[i].Enclave.Name)
 	}
 	for _, shards := range out.Shards {
-		groups, err := sim.ShardRoundRobin(encs, shards)
+		res, err := fleet.Run(arrivals, fleet.Config{
+			Hosts:    shards,
+			Policy:   fleet.RoundRobin,
+			Platform: sim.SharedConfig{EPCPages: r.p.EPCPages},
+			Workers:  r.workers,
+		})
 		if err != nil {
 			return out, err
 		}
-		res, err := sim.RunSharded(groups, sim.SharedConfig{EPCPages: r.p.EPCPages}, r.workers)
-		if err != nil {
-			return out, err
-		}
-		// Round-robin placement put fleet index i into group[i%S][i/S];
-		// invert it so every setting's row is in fleet order.
-		cycles := make([]uint64, len(encs))
+		// Round-robin placement put fleet index i on host i%S at slot
+		// i/S; invert it so every setting's row is in fleet order.
+		cycles := make([]uint64, len(arrivals))
 		var faults uint64
-		for s, shard := range res {
-			for j, sr := range shard {
+		for s, host := range res.Hosts {
+			for j, sr := range host.Enclaves {
 				cycles[s+j*shards] = sr.Cycles
 				faults += sr.Kernel.DemandFaults
 			}

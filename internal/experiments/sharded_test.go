@@ -43,7 +43,7 @@ func TestShardedFleet(t *testing.T) {
 }
 
 // TestShardedFleetDeterministic: the study must render identically at
-// any worker-pool size — the sharded runner's merge is by index, so
+// any worker-pool size — the fleet merges hosts by index, so
 // parallelism never leaks into the table.
 func TestShardedFleetDeterministic(t *testing.T) {
 	render := func(workers int) string {

@@ -1,14 +1,16 @@
 // Package fleet simulates a cluster of SGX hosts on one shared virtual
 // clock. The paper's §5.6 scales contention to many enclaves on one
-// EPC; the sharded runner (sim.RunSharded) scales that to many
-// *independent* EPC domains with static placement. This package closes
-// the remaining gap to a deployment: hosts that receive work over time.
-// An open-loop front door admits enclave-launch requests from a
-// deterministic arrival stream, a token-bucket admission controller
-// sheds launches past a configured sustained rate, and a pluggable
-// placement policy assigns each admitted enclave to a host using the
-// hosts' live signals — so placement reacts to the contention the
-// earlier launches created, which static round-robin cannot.
+// EPC (sim.RunShared); this package scales it to many *independent*
+// EPC domains and closes the remaining gap to a deployment: hosts that
+// receive work over time. An open-loop front door admits enclave-launch
+// requests from a deterministic arrival stream, a token-bucket
+// admission controller sheds launches past a configured sustained rate,
+// and a pluggable placement policy assigns each admitted enclave to a
+// host using the hosts' live signals — so placement reacts to the
+// contention the earlier launches created, which static round-robin
+// cannot. Static sharding is the degenerate case: every arrival at
+// t = 0, RoundRobin placement and no admission control run each host's
+// i mod N group exactly as sim.RunShared would.
 //
 // Shared clock, deterministic schedule. Every host is its own EPC
 // domain — own epc.EPC, own load-channel group, own dynamic engine
@@ -32,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -271,11 +274,13 @@ func Run(arrivals []Arrival, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	// Assemble the reports: per-host and fleet-wide pooled percentiles.
+	// Assemble the reports: per-host and fleet-wide pooled percentiles,
+	// each sample set sorted once for its three tail points.
 	var pool []float64
 	for h, eng := range hosts {
 		samples := samplers[h].Samples()
 		pool = append(pool, samples...)
+		sort.Float64s(samples)
 		enclaves := eng.Results()
 		resident := make([]int, len(enclaves))
 		for i := range resident {
@@ -294,15 +299,16 @@ func Run(arrivals []Arrival, cfg Config) (Result, error) {
 			Resident:    resident,
 			Quota:       quota,
 			Faults:      len(samples),
-			FaultP50:    stats.Percentile(samples, 50),
-			FaultP95:    stats.Percentile(samples, 95),
-			FaultP99:    stats.Percentile(samples, 99),
+			FaultP50:    stats.SortedPercentile(samples, 50),
+			FaultP95:    stats.SortedPercentile(samples, 95),
+			FaultP99:    stats.SortedPercentile(samples, 99),
 		})
 	}
+	sort.Float64s(pool)
 	res.Faults = len(pool)
-	res.FaultP50 = stats.Percentile(pool, 50)
-	res.FaultP95 = stats.Percentile(pool, 95)
-	res.FaultP99 = stats.Percentile(pool, 99)
+	res.FaultP50 = stats.SortedPercentile(pool, 50)
+	res.FaultP95 = stats.SortedPercentile(pool, 95)
+	res.FaultP99 = stats.SortedPercentile(pool, 99)
 	return res, nil
 }
 
@@ -420,11 +426,17 @@ func (b *tokenBucket) take(t uint64) bool {
 	return true
 }
 
-// forEachHost runs fn(h) for every host on up to workers goroutines.
-// Hosts are dispatched contiguously from zero (the RunSharded idiom),
-// so on failure the lowest-index error — the one a sequential loop
-// would have hit first — is returned.
+// forEachHost runs fn(h) for every host on up to workers goroutines
+// and tags a failure with its host index. Hosts are dispatched
+// contiguously from zero, so on failure the lowest-index error — the
+// one a sequential loop would have hit first — is returned.
 func forEachHost(n, workers int, fn func(int) error) error {
+	run := func(h int) error {
+		if err := fn(h); err != nil {
+			return fmt.Errorf("fleet: host %d: %w", h, err)
+		}
+		return nil
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -433,7 +445,7 @@ func forEachHost(n, workers int, fn func(int) error) error {
 	}
 	if workers == 1 {
 		for h := 0; h < n; h++ {
-			if err := fn(h); err != nil {
+			if err := run(h); err != nil {
 				return err
 			}
 		}
@@ -454,7 +466,7 @@ func forEachHost(n, workers int, fn func(int) error) error {
 				if h >= n || failed.Load() {
 					return
 				}
-				if err := fn(h); err != nil {
+				if err := run(h); err != nil {
 					errs[h] = err
 					failed.Store(true)
 					return

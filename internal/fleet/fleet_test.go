@@ -313,7 +313,8 @@ func TestTokenBucket(t *testing.T) {
 }
 
 // TestFleetHookFactory: per-host recorders see disjoint, deterministic
-// timelines; the legacy single Hook is rejected on a multi-host fleet.
+// timelines; the legacy single Hook is rejected on a multi-host fleet,
+// and so is setting both Hook and HookFactory.
 func TestFleetHookFactory(t *testing.T) {
 	recs := make([]*obs.Recorder, 2)
 	cfg := Config{Hosts: 2, Platform: sim.SharedConfig{EPCPages: 96,
@@ -338,6 +339,13 @@ func TestFleetHookFactory(t *testing.T) {
 	if _, err := Run(atTimeZero(enclaves(4)), bad); err == nil ||
 		!strings.Contains(err.Error(), "hook") {
 		t.Errorf("shared hook on 2 hosts: want rejection, got %v", err)
+	}
+	// Both Hook and HookFactory set is ambiguous, even on one host.
+	both := Config{Hosts: 1, Platform: sim.SharedConfig{EPCPages: 96, Hook: obs.NewRecorder(),
+		HookFactory: func(int) obs.Hook { return nil }}}
+	if _, err := Run(atTimeZero(enclaves(2)), both); err == nil ||
+		!strings.Contains(err.Error(), "not both") {
+		t.Errorf("Hook+HookFactory: want rejection, got %v", err)
 	}
 }
 

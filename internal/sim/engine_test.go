@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sgxpreload/internal/mem"
+	"sgxpreload/internal/obs"
 	"sgxpreload/internal/rng"
 )
 
@@ -78,6 +79,22 @@ func TestNewClosesStreamsOnError(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestEngineRejectsHookFactory: an unresolved per-domain HookFactory
+// must not reach an engine silently — multi-domain runners resolve it to
+// a concrete Hook first — and the rejected enclaves' streams are
+// released.
+func TestEngineRejectsHookFactory(t *testing.T) {
+	s := &closerStream{trace: []mem.Access{{Page: 0, Compute: 10}}}
+	_, err := New([]Enclave{{Name: "a", Stream: s, Pages: 8, Scheme: Baseline}},
+		SharedConfig{EPCPages: 16, HookFactory: func(int) obs.Hook { return nil }})
+	if err == nil || !strings.Contains(err.Error(), "HookFactory") {
+		t.Errorf("engine-level HookFactory: want rejection, got %v", err)
+	}
+	if !s.closed {
+		t.Error("rejected enclave's stream leaked")
+	}
 }
 
 // TestResultAllocFree: Result(i) must derive a single enclave's

@@ -64,10 +64,11 @@ func benchFleetEngine(b *testing.B, e int) *Engine {
 }
 
 // benchShardedStep runs a fleet of e enclaves split round-robin over
-// the given number of independent EPC domains — the sharded runner's
-// shape. Each parallel worker claims one shard engine and steps it, so
-// ns/op is the fleet's aggregate per-access cost across however many
-// cores the host gives the benchmark. Shards are sized to keep each
+// the given number of independent EPC domains — the shape of a
+// fleet.Run with every arrival at t=0. Each parallel worker claims one
+// shard engine and steps it, so ns/op is the fleet's aggregate
+// per-access cost across however many cores the host gives the
+// benchmark. Shards are sized to keep each
 // domain's scheduler state inside cache: that, not the O(log E) sift,
 // is what per-step cost tracks once E passes a few hundred.
 func benchShardedStep(b *testing.B, e, shards int) {
@@ -95,7 +96,7 @@ func benchShardedStep(b *testing.B, e, shards int) {
 // BenchmarkStep measures one engine access at fleet population sizes —
 // the scheduler's O(log E) claim made falsifiable. Both populations
 // run sharded (16 and 160 domains, ~62 enclaves each), mirroring how
-// RunSharded actually deploys a fleet this size.
+// the fleet layer deploys a population this size.
 func BenchmarkStep(b *testing.B) {
 	b.Run("E=1000-sharded16", func(b *testing.B) { benchShardedStep(b, 1000, 16) })
 	b.Run("E=10000-sharded160", func(b *testing.B) { benchShardedStep(b, 10000, 160) })

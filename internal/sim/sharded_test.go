@@ -1,54 +1,79 @@
-package sim
+package sim_test
 
 import (
 	"fmt"
 	"strings"
 	"testing"
 
+	"sgxpreload/internal/fleet"
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/obs"
+	"sgxpreload/internal/sim"
 )
 
-// TestShardedOneShardEqualsRunShared: at one shard the sharded runner
-// is RunShared — same engine, same schedule, byte-identical artifacts
+// Static sharding — an enclave list split round-robin over independent
+// EPC domains, each running the engine RunShared drives — is a fleet
+// with every arrival at t=0, RoundRobin placement and no admission
+// control. These tests pin that shape on the engine's tie-break
+// enclaves, whose tied schedules make any cross-domain leak visible.
+
+// shardRun runs encs round-robin over shards EPC domains at t=0.
+func shardRun(encs []sim.Enclave, shards, workers int, platform sim.SharedConfig) (fleet.Result, error) {
+	arr := make([]fleet.Arrival, len(encs))
+	for i, e := range encs {
+		arr[i] = fleet.Arrival{Enclave: e}
+	}
+	return fleet.Run(arr, fleet.Config{Hosts: shards, Policy: fleet.RoundRobin,
+		Platform: platform, Workers: workers})
+}
+
+// roundRobinGroups returns the i mod shards groups of encs.
+func roundRobinGroups(encs []sim.Enclave, shards int) [][]sim.Enclave {
+	groups := make([][]sim.Enclave, shards)
+	for i, e := range encs {
+		groups[i%shards] = append(groups[i%shards], e)
+	}
+	return groups
+}
+
+func jsonl(t *testing.T, rec *obs.Recorder) string {
+	t.Helper()
+	var b strings.Builder
+	if err := rec.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestShardedOneShardEqualsRunShared: at one shard the sharded shape is
+// RunShared — same engine, same schedule, byte-identical artifacts
 // including the hooked event timeline.
 func TestShardedOneShardEqualsRunShared(t *testing.T) {
 	recA, recB := obs.NewRecorder(), obs.NewRecorder()
-	shared, err := RunShared(tieBreakEnclaves(16), SharedConfig{EPCPages: 128, Hook: recA})
+	shared, err := sim.RunShared(sim.TieBreakEnclaves(16), sim.SharedConfig{EPCPages: 128, Hook: recA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := RunSharded([][]Enclave{tieBreakEnclaves(16)}, SharedConfig{EPCPages: 128, Hook: recB}, 4)
+	sharded, err := shardRun(sim.TieBreakEnclaves(16), 1, 4, sim.SharedConfig{EPCPages: 128, Hook: recB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sharded) != 1 {
-		t.Fatalf("one-shard run returned %d shards", len(sharded))
+	if len(sharded.Hosts) != 1 {
+		t.Fatalf("one-shard run returned %d shards", len(sharded.Hosts))
 	}
-	if a, b := fmt.Sprintf("%#v", shared), fmt.Sprintf("%#v", sharded[0]); a != b {
-		t.Errorf("one-shard RunSharded diverges from RunShared:\n  shared  %.300s\n  sharded %.300s", a, b)
+	if a, b := fmt.Sprintf("%#v", shared), fmt.Sprintf("%#v", sharded.Hosts[0].Enclaves); a != b {
+		t.Errorf("one-shard run diverges from RunShared:\n  shared  %.300s\n  sharded %.300s", a, b)
 	}
-	var ba, bb strings.Builder
-	if err := recA.WriteJSONL(&ba); err != nil {
-		t.Fatal(err)
-	}
-	if err := recB.WriteJSONL(&bb); err != nil {
-		t.Fatal(err)
-	}
-	if ba.String() != bb.String() {
-		t.Errorf("one-shard timeline diverges: %s", firstDiffLine(ba.String(), bb.String()))
+	if a, b := jsonl(t, recA), jsonl(t, recB); a != b {
+		t.Errorf("one-shard timeline diverges: %s", sim.FirstDiffLine(a, b))
 	}
 }
 
-// TestShardedDeterministicAcrossWorkers: the merged result grid must be
-// identical at any worker count — completion order never leaks.
+// TestShardedDeterministicAcrossWorkers: the whole sharded result must
+// be identical at any worker count — completion order never leaks.
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) string {
-		groups, err := ShardRoundRobin(tieBreakEnclaves(32), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunSharded(groups, SharedConfig{EPCPages: 64}, workers)
+		res, err := shardRun(sim.TieBreakEnclaves(32), 4, workers, sim.SharedConfig{EPCPages: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,46 +87,47 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedErrors: empty inputs, hooked multi-shard runs, and empty
-// shards are rejected; a failing shard reports the lowest-index error a
-// sequential loop would have hit.
+// TestShardedErrors: empty inputs, hooked multi-shard runs, and a
+// zero-page enclave are rejected; a failing shard reports
+// the lowest-index error a sequential loop would have hit.
 func TestShardedErrors(t *testing.T) {
-	if _, err := RunSharded(nil, SharedConfig{EPCPages: 64}, 1); err == nil {
-		t.Error("nil groups: want error")
+	if _, err := shardRun(nil, 1, 1, sim.SharedConfig{EPCPages: 64}); err == nil {
+		t.Error("no enclaves: want error")
 	}
-	if _, err := RunSharded([][]Enclave{tieBreakEnclaves(2), tieBreakEnclaves(2)},
-		SharedConfig{EPCPages: 64, Hook: obs.NewRecorder()}, 2); err == nil ||
+	if _, err := shardRun(sim.TieBreakEnclaves(4), 2, 2,
+		sim.SharedConfig{EPCPages: 64, Hook: obs.NewRecorder()}); err == nil ||
 		!strings.Contains(err.Error(), "hook") {
 		t.Errorf("hooked 2-shard run: want hook error, got %v", err)
 	}
-	if _, err := RunSharded([][]Enclave{tieBreakEnclaves(2), nil},
-		SharedConfig{EPCPages: 64}, 1); err == nil || !strings.Contains(err.Error(), "no enclaves") {
-		t.Errorf("empty shard: want error, got %v", err)
+	empty := sim.Enclave{Name: "empty", Trace: []mem.Access{{Page: 0, Compute: 1}}, Scheme: sim.Baseline}
+	if _, err := shardRun([]sim.Enclave{sim.TieBreakEnclaves(1)[0], empty}, 2, 1,
+		sim.SharedConfig{EPCPages: 64}); err == nil || !strings.Contains(err.Error(), "zero pages") {
+		t.Errorf("zero-page enclave: want admission error, got %v", err)
 	}
 
 	// Shards 1 and 3 carry an access outside the enclave's declared
-	// range; the merge must surface shard 1's error.
-	bad := Enclave{Name: "bad", Trace: []mem.Access{{Page: 99, Compute: 1}}, Pages: 8, Scheme: Baseline}
-	groups := [][]Enclave{tieBreakEnclaves(2), {bad}, tieBreakEnclaves(2), {bad}}
-	_, err := RunSharded(groups, SharedConfig{EPCPages: 64}, 4)
-	if err == nil || !strings.Contains(err.Error(), "shard 1") {
+	// range; the run must surface shard 1's error.
+	bad := sim.Enclave{Name: "bad", Trace: []mem.Access{{Page: 99, Compute: 1}}, Pages: 8, Scheme: sim.Baseline}
+	good := sim.TieBreakEnclaves(4)
+	encs := []sim.Enclave{good[0], bad, good[1], bad, good[2], good[3]}
+	_, err := shardRun(encs, 4, 4, sim.SharedConfig{EPCPages: 64})
+	if err == nil || !strings.Contains(err.Error(), "host 1:") {
 		t.Errorf("want shard 1's error, got %v", err)
 	}
 }
 
 // TestShardRoundRobin pins the deterministic placement: index i lands
-// in shard i mod S, and the shard count clamps to the fleet size.
+// in shard i mod S, in index order within its shard.
 func TestShardRoundRobin(t *testing.T) {
-	encs := tieBreakEnclaves(10)
-	groups, err := ShardRoundRobin(encs, 4)
+	res, err := shardRun(sim.TieBreakEnclaves(10), 4, 0, sim.SharedConfig{EPCPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(groups) != 4 {
-		t.Fatalf("got %d shards, want 4", len(groups))
+	if len(res.Hosts) != 4 {
+		t.Fatalf("got %d shards, want 4", len(res.Hosts))
 	}
-	for s, g := range groups {
-		for j, e := range g {
+	for s, h := range res.Hosts {
+		for j, e := range h.Enclaves {
 			if want := fmt.Sprintf("enc%04d", s+j*4); e.Name != want {
 				t.Errorf("shard %d slot %d holds %s, want %s", s, j, e.Name, want)
 			}
@@ -109,10 +135,11 @@ func TestShardRoundRobin(t *testing.T) {
 	}
 }
 
-// TestShardRoundRobinBoundaries is the table-driven boundary sweep:
-// the empty fleet is an explicit error (not a zero-shard grid that
-// RunSharded would misreport as "needs at least one shard"), and the
-// {1, shards-1} fleet sizes clamp so no shard is empty.
+// TestShardRoundRobinBoundaries is the table-driven boundary sweep over
+// four requested shards: the empty fleet is an explicit error, and at
+// fleet sizes below the shard count the surplus shards stay idle — so
+// clamping the shard count to the fleet size (as sgxsim -shards does)
+// changes no enclave's result.
 func TestShardRoundRobinBoundaries(t *testing.T) {
 	const shards = 4
 	cases := []struct {
@@ -124,20 +151,16 @@ func TestShardRoundRobinBoundaries(t *testing.T) {
 		{"single", 1, 1},
 		{"one-less-than-shards", shards - 1, shards - 1},
 		{"exactly-shards", shards, shards},
-		{"shards-zero-clamps", 10, 1}, // shards argument 0, see below
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s := shards
-			if c.name == "shards-zero-clamps" {
-				s = 0
-			}
-			groups, err := ShardRoundRobin(tieBreakEnclaves(c.enclaves), s)
+			cfg := sim.SharedConfig{EPCPages: 64}
+			res, err := shardRun(sim.TieBreakEnclaves(c.enclaves), shards, 1, cfg)
 			if c.wantShards == 0 {
 				if err == nil {
-					t.Fatalf("empty fleet: want error, got %d shards", len(groups))
+					t.Fatalf("empty fleet: want error, got %d shards", len(res.Hosts))
 				}
-				if !strings.Contains(err.Error(), "at least one enclave") {
+				if !strings.Contains(err.Error(), "at least one arrival") {
 					t.Errorf("empty fleet error %q does not name the empty input", err)
 				}
 				return
@@ -145,16 +168,25 @@ func TestShardRoundRobinBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(groups) != c.wantShards {
-				t.Fatalf("%d enclaves over %d shards: got %d groups, want %d",
-					c.enclaves, s, len(groups), c.wantShards)
+			clamped, err := shardRun(sim.TieBreakEnclaves(c.enclaves), c.wantShards, 1, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
 			total := 0
-			for si, g := range groups {
-				if len(g) == 0 {
-					t.Errorf("shard %d is empty", si)
+			for s, h := range res.Hosts {
+				total += len(h.Enclaves)
+				if s >= c.wantShards {
+					if len(h.Enclaves) != 0 || h.Faults != 0 {
+						t.Errorf("surplus shard %d ran %d enclaves, %d faults", s, len(h.Enclaves), h.Faults)
+					}
+					continue
 				}
-				total += len(g)
+				if len(h.Enclaves) == 0 {
+					t.Errorf("shard %d is empty", s)
+				}
+				if a, b := fmt.Sprintf("%#v", h.Enclaves), fmt.Sprintf("%#v", clamped.Hosts[s].Enclaves); a != b {
+					t.Errorf("shard %d: results change when the shard count clamps to %d", s, c.wantShards)
+				}
 			}
 			if total != c.enclaves {
 				t.Errorf("placement lost enclaves: %d placed, %d given", total, c.enclaves)
@@ -184,23 +216,24 @@ func slowFailStream(delay int, pages uint64) mem.Stream {
 // its own error: shard 0 fails after 50k accesses, shard 3 on its first.
 // The lowest-index error must win at every worker count — the result a
 // sequential shard loop would have surfaced — even though shard 3's
-// failure sets the fail-fast flag while shard 0 is still running.
+// failure stops the pool while shard 0 is still running.
 func TestShardedOutOfOrderFailure(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8, 0} {
-		mk := func(delay int) []Enclave {
-			return []Enclave{{
+		mk := func(delay int) sim.Enclave {
+			return sim.Enclave{
 				Name:   fmt.Sprintf("bad-after-%d", delay),
 				Stream: slowFailStream(delay, 8),
 				Pages:  8,
-				Scheme: Baseline,
-			}}
+				Scheme: sim.Baseline,
+			}
 		}
-		groups := [][]Enclave{mk(50000), tieBreakEnclaves(2), tieBreakEnclaves(2), mk(0)}
-		_, err := RunSharded(groups, SharedConfig{EPCPages: 64}, workers)
+		good := sim.TieBreakEnclaves(4)
+		encs := []sim.Enclave{mk(50000), good[0], good[1], mk(0), good[2], good[3]}
+		_, err := shardRun(encs, 4, workers, sim.SharedConfig{EPCPages: 64})
 		if err == nil {
 			t.Fatalf("workers=%d: want error", workers)
 		}
-		if !strings.Contains(err.Error(), "shard 0") {
+		if !strings.Contains(err.Error(), "host 0:") || !strings.Contains(err.Error(), "bad-after-50000") {
 			t.Errorf("workers=%d: want shard 0's error (the sequential loop's first), got %v", workers, err)
 		}
 	}
@@ -209,47 +242,38 @@ func TestShardedOutOfOrderFailure(t *testing.T) {
 // TestShardedHookFactory: the per-shard factory records each EPC domain
 // to its own hook deterministically — shard i's timeline is identical
 // to a solo RunShared of that shard's enclaves with a direct hook — and
-// combining the factory with the legacy shared Hook field is rejected.
+// combining the factory with the shared Hook field is rejected.
 func TestShardedHookFactory(t *testing.T) {
-	groups, err := ShardRoundRobin(tieBreakEnclaves(8), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := make([]*obs.Recorder, len(groups))
-	cfg := SharedConfig{EPCPages: 64, HookFactory: func(shard int) obs.Hook {
+	const shards = 4
+	recs := make([]*obs.Recorder, shards)
+	cfg := sim.SharedConfig{EPCPages: 64, HookFactory: func(shard int) obs.Hook {
 		recs[shard] = obs.NewRecorder()
 		return recs[shard]
 	}}
-	if _, err := RunSharded(groups, cfg, 4); err != nil {
+	if _, err := shardRun(sim.TieBreakEnclaves(8), shards, 4, cfg); err != nil {
 		t.Fatal(err)
 	}
+	groups := roundRobinGroups(sim.TieBreakEnclaves(8), shards)
 	for i, g := range groups {
 		want := obs.NewRecorder()
-		if _, err := RunShared(g, SharedConfig{EPCPages: 64, Hook: want}); err != nil {
+		if _, err := sim.RunShared(g, sim.SharedConfig{EPCPages: 64, Hook: want}); err != nil {
 			t.Fatal(err)
 		}
-		var a, b strings.Builder
-		if err := recs[i].WriteJSONL(&a); err != nil {
-			t.Fatal(err)
-		}
-		if err := want.WriteJSONL(&b); err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
+		if a, b := jsonl(t, recs[i]), jsonl(t, want); a != b {
 			t.Errorf("shard %d: factory-recorded timeline diverges from solo run: %s",
-				i, firstDiffLine(a.String(), b.String()))
+				i, sim.FirstDiffLine(a, b))
 		}
 	}
 
 	// Both Hook and HookFactory set is ambiguous — rejected.
-	bad := SharedConfig{EPCPages: 64, Hook: obs.NewRecorder(),
+	bad := sim.SharedConfig{EPCPages: 64, Hook: obs.NewRecorder(),
 		HookFactory: func(int) obs.Hook { return nil }}
-	if _, err := RunSharded(groups, bad, 1); err == nil ||
+	if _, err := shardRun(sim.TieBreakEnclaves(8), shards, 1, bad); err == nil ||
 		!strings.Contains(err.Error(), "not both") {
 		t.Errorf("Hook+HookFactory: want rejection, got %v", err)
 	}
 	// An unresolved factory must not reach an engine silently.
-	if _, err := RunShared(groups[0], SharedConfig{EPCPages: 64,
+	if _, err := sim.RunShared(groups[0], sim.SharedConfig{EPCPages: 64,
 		HookFactory: func(int) obs.Hook { return nil }}); err == nil ||
 		!strings.Contains(err.Error(), "HookFactory") {
 		t.Errorf("engine-level HookFactory: want rejection, got %v", err)
