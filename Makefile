@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: build test race bench bench-micro bench-json bench-compare bench-smoke \
 	perfbench-test verify verify-obs replay-smoke stream-smoke trace-smoke fleet-smoke \
-	spec-smoke quota-smoke check-docs
+	spec-smoke quota-smoke examples-smoke check-docs
 
 # The fault-servicing hot-path microbenchmarks (channel deque, EPC page
 # table, service scan, end-to-end HandleFault).
@@ -156,6 +156,14 @@ quota-smoke:
 	grep -q 'quota' .quota-smoke/adaptive.seq.txt
 	rm -rf .quota-smoke
 
+# Public-API acceptance: every examples/* program drives the root
+# package's run surface end to end and must exit 0.
+examples-smoke:
+	for d in examples/*/; do \
+		echo "examples-smoke: $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
+
 # Docs drift gate: every cmd/sgxsim flag must be mentioned in at least
 # one of README.md, OBSERVABILITY.md, EXPERIMENTS.md, or WORKLOADS.md,
 # and every registered workload must appear (backtick-quoted) in
@@ -173,7 +181,7 @@ check-docs:
 	[ $$missing -eq 0 ] && echo "check-docs: all cmd/sgxsim flags and workloads documented"
 
 # The full pre-merge gate.
-verify: verify-obs stream-smoke trace-smoke fleet-smoke spec-smoke quota-smoke check-docs
+verify: verify-obs stream-smoke trace-smoke fleet-smoke spec-smoke quota-smoke examples-smoke check-docs
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) build ./...

@@ -40,7 +40,6 @@ import (
 	"sgxpreload/internal/dfp"
 	"sgxpreload/internal/epc"
 	"sgxpreload/internal/epc/arbiter"
-	"sgxpreload/internal/experiments"
 	"sgxpreload/internal/fleet"
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/obs"
@@ -50,6 +49,7 @@ import (
 	"sgxpreload/internal/stats"
 	"sgxpreload/internal/workload"
 	"sgxpreload/internal/workload/spec"
+	"sgxpreload/internal/workpool"
 )
 
 func main() {
@@ -214,96 +214,56 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	return runBench(w, o, *compare, *progress, out)
+}
 
-	cfg := sim.Config{
-		Scheme:            sch,
-		EPCPages:          *epcPages,
-		ELRangePages:      w.ELRangePages(),
-		DFP:               d,
-		Predictor:         core.Kind(strings.ToLower(*predictor)),
-		EvictPolicy:       pol,
-		Quota:             quota,
-		BackgroundReclaim: *reclaim,
+// runBench runs one benchmark as a solo enclave and prints its metrics.
+// With compare, the scheme run and a baseline run are independent cells
+// fanned out on the worker pool; results land by index, so the report
+// is identical at any -parallel setting. Only the scheme run is
+// recorded (-trace, -metrics-out, -serve), and each run is
+// single-goroutine, so the timeline is byte-identical at any -parallel
+// setting too.
+func runBench(w *workload.Workload, o fleetOpts, compare, progress bool, out io.Writer) error {
+	enc, err := benchEnclave(w, w.Name, o)
+	if err != nil {
+		return err
 	}
-	if sch.UsesSIP() {
-		sel, err := buildSelection(w, *epcPages, d, *threshold, *streamMode)
-		if err != nil {
-			return err
-		}
-		cfg.Selection = sel
+	if enc.Selection != nil {
 		fmt.Fprintf(out, "SIP profile: %d instrumentation points at threshold %.0f%%\n",
-			sel.Points(), *threshold*100)
+			enc.Selection.Points(), o.threshold*100)
 	}
-
-	var trace []mem.Access
-	if !*streamMode {
-		trace = w.Generate(workload.Ref)
+	cells := []sim.Enclave{enc}
+	if compare && o.scheme != sim.Baseline {
+		base := enc
+		base.Scheme, base.Selection = sim.Baseline, nil
+		cells = append(cells, base)
 	}
-
-	// With -compare, the scheme run and the baseline run are independent
-	// cells; fan them out on the sweep scheduler. Results land by index,
-	// so the report below is identical at any -parallel setting.
-	configs := []sim.Config{cfg}
-	if *compare && sch != sim.Baseline {
-		bcfg := cfg
-		bcfg.Scheme = sim.Baseline
-		bcfg.Selection = nil
-		configs = append(configs, bcfg)
+	rc, err := record(o, out)
+	if err != nil {
+		return err
 	}
-	// The hooks observe only the primary run (a baseline comparison
-	// run stays unhooked), and each run is single-goroutine, so the
-	// recorded timeline is byte-identical at any -parallel setting. The
-	// trace streams through a StreamSink — encoded and flushed as it is
-	// emitted, so a traced run's memory is independent of trace length
-	// and -trace works on unbounded -stream -repeat 0 runs — while
-	// -metrics-out keeps an in-memory recorder (the derived report needs
-	// the whole timeline). The live-metrics ring rides the same hook
-	// slot via Tee; it locks per event, so HTTP scrapers see consistent
-	// snapshots mid-run.
-	var hooks []obs.Hook
-	var rec *obs.Recorder
-	if *metricsOut != "" {
-		rec = obs.NewRecorder()
-		hooks = append(hooks, rec)
-	}
-	var sink *obs.StreamSink
-	if *tracePath != "" {
-		var err error
-		sink, err = obs.NewStreamSinkFile(*tracePath)
+	defer rc.stop()
+	results, err := workpool.Sweep(o.workers, len(cells), func(i int) (sim.Result, error) {
+		e, p := cells[i], o.platform()
+		if i == 0 {
+			p.Hook = rc.hook
+		} else if o.stream {
+			// Each cell pulls its own fresh stream, so -compare cells
+			// stay independent under any -parallel setting.
+			e.Stream = repeatStream(w, o.repeat)
+		}
+		res, err := sim.RunShared([]sim.Enclave{e}, p)
 		if err != nil {
-			return err
+			return sim.Result{}, err
 		}
-		hooks = append(hooks, sink)
-	}
-	if *serveAddr != "" {
-		ring := obs.NewRing(0)
-		hooks = append(hooks, ring)
-		stop, err := serveMetrics(*serveAddr, ring, out)
-		if err != nil {
-			return err
+		if progress {
+			fmt.Fprintf(os.Stderr, "  %s run done\n", e.Scheme)
 		}
-		defer stop()
-	}
-	configs[0].Hook = obs.Tee(hooks...)
-	results, err := experiments.Sweep(*parallel, len(configs), func(i int) (sim.Result, error) {
-		var r sim.Result
-		var err error
-		if *streamMode {
-			// Each cell pulls its own fresh stream, so -compare cells stay
-			// independent under any -parallel setting.
-			r, err = sim.RunStream(repeatStream(w, *repeat), configs[i])
-		} else {
-			r, err = sim.Run(trace, configs[i])
-		}
-		if *progress && err == nil {
-			fmt.Fprintf(os.Stderr, "  %s run done\n", configs[i].Scheme)
-		}
-		return r, err
+		return res[0].Result, nil
 	})
 	if err != nil {
-		if sink != nil {
-			sink.Close()
-		}
+		rc.traces.abort()
 		return err
 	}
 	res := results[0]
@@ -330,27 +290,13 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "baseline cycles:  %d\n", base.Cycles)
 		fmt.Fprintf(out, "improvement:      %+.2f%%\n", stats.ImprovementPct(res.Cycles, base.Cycles))
 	}
-
-	if sink != nil {
-		if err := sink.Close(); err != nil {
-			return fmt.Errorf("trace %s: %w", *tracePath, err)
-		}
-		fmt.Fprintf(out, "trace:            %d events -> %s\n", sink.Events(), *tracePath)
-	}
-	if rec != nil {
-		title := fmt.Sprintf("%s / %s", w.Name, res.Scheme)
-		if err := writeMetrics(rec, title, *metricsOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "metrics:          %s\n", *metricsOut)
-	}
-	return nil
+	return rc.finish(out, singleTraceLabel, fmt.Sprintf("%s / %s", w.Name, res.Scheme), o.metricsOut)
 }
 
 // buildSelection profiles the workload's Train input and selects SIP
-// instrumentation sites; with streamed set, the profiling pass pulls
-// the train trace access-by-access so it never exists as a slice.
-func buildSelection(w *workload.Workload, epcPages int, d dfp.Config, threshold float64, streamed bool) (*sip.Selection, error) {
+// instrumentation sites. The profiling pass pulls the train trace
+// access-by-access, so it never exists as a slice.
+func buildSelection(w *workload.Workload, epcPages int, d dfp.Config, threshold float64) (*sip.Selection, error) {
 	if !w.Instrumentable {
 		return nil, fmt.Errorf("%s cannot be instrumented (%s)", w.Name, w.Language)
 	}
@@ -358,15 +304,9 @@ func buildSelection(w *workload.Workload, epcPages int, d dfp.Config, threshold 
 	if err != nil {
 		return nil, err
 	}
-	if streamed {
-		src := w.Stream(workload.Train)
-		for a, ok := src.Next(); ok; a, ok = src.Next() {
-			cl.Record(a.Site, a.Page)
-		}
-	} else {
-		for _, a := range w.Generate(workload.Train) {
-			cl.Record(a.Site, a.Page)
-		}
+	src := w.Stream(workload.Train)
+	for a, ok := src.Next(); ok; a, ok = src.Next() {
+		cl.Record(a.Site, a.Page)
 	}
 	return sip.Select(cl.Profile(), threshold, 32), nil
 }
@@ -395,6 +335,11 @@ type fleetOpts struct {
 	workers       int
 }
 
+// platform is the EPC domain every engine of the run simulates.
+func (o fleetOpts) platform() sim.SharedConfig {
+	return sim.SharedConfig{EPCPages: o.epcPages, EvictPolicy: o.policy, Quota: o.quota}
+}
+
 // benchEnclave builds the enclave for one -bench list entry under the
 // run's scheme, labelled name in results and traces: SIP runs profile
 // the workload's Train input first, streamed runs pull the Ref trace on
@@ -409,7 +354,7 @@ func benchEnclave(w *workload.Workload, name string, o fleetOpts) (sim.Enclave, 
 		BackgroundReclaim: o.reclaim,
 	}
 	if o.scheme.UsesSIP() {
-		sel, err := buildSelection(w, o.epcPages, o.dfp, o.threshold, o.stream)
+		sel, err := buildSelection(w, o.epcPages, o.dfp, o.threshold)
 		if err != nil {
 			return sim.Enclave{}, err
 		}
@@ -457,61 +402,43 @@ func runFleet(names []string, o fleetOpts, out io.Writer) error {
 		}
 	}
 	domains := min(o.hosts, len(encs))
-	scfg := sim.SharedConfig{EPCPages: o.epcPages, EvictPolicy: o.policy, Quota: o.quota}
 
 	var results [][]sim.SharedResult
-	var traces domainTraces
-	var rec *obs.Recorder
+	var rc recording
+	label := singleTraceLabel
 	if domains > 1 {
 		arrivals := make([]fleet.Arrival, len(encs))
 		for i, e := range encs {
 			arrivals[i] = fleet.Arrival{At: 0, Enclave: e}
 		}
-		cfg := fleet.Config{Hosts: domains, Policy: fleet.RoundRobin, Platform: scfg, Workers: o.workers}
+		cfg := fleet.Config{Hosts: domains, Policy: fleet.RoundRobin, Platform: o.platform(), Workers: o.workers}
 		if o.tracePath != "" {
 			var err error
-			if traces, err = openDomainTraces(o.tracePath, "shard", domains); err != nil {
+			if rc.traces, err = openDomainTraces(o.tracePath, "shard", domains); err != nil {
 				return err
 			}
-			cfg.Platform.HookFactory = traces.hook
+			cfg.Platform.HookFactory = rc.traces.hook
 		}
 		res, err := fleet.Run(arrivals, cfg)
 		if err != nil {
-			traces.abort()
+			rc.traces.abort()
 			return err
 		}
 		for _, hr := range res.Hosts {
 			results = append(results, hr.Enclaves)
 		}
+		label = func(i int) string { return fmt.Sprintf("trace shard %d:    ", i) }
 	} else {
-		// One domain keeps the flat trace path (no .shard0 tag) and may
-		// tee -metrics-out/-serve hooks beside it.
-		var hooks []obs.Hook
-		if o.tracePath != "" {
-			var err error
-			if traces, err = openDomainTraces(o.tracePath, "", 1); err != nil {
-				return err
-			}
-			hooks = append(hooks, traces.sinks[0])
+		var err error
+		if rc, err = record(o, out); err != nil {
+			return err
 		}
-		if o.metricsOut != "" {
-			rec = obs.NewRecorder()
-			hooks = append(hooks, rec)
-		}
-		if o.serveAddr != "" {
-			ring := obs.NewRing(0)
-			hooks = append(hooks, ring)
-			stop, err := serveMetrics(o.serveAddr, ring, out)
-			if err != nil {
-				traces.abort()
-				return err
-			}
-			defer stop()
-		}
-		scfg.Hook = obs.Tee(hooks...)
-		res, err := sim.RunShared(encs, scfg)
+		defer rc.stop()
+		p := o.platform()
+		p.Hook = rc.hook
+		res, err := sim.RunShared(encs, p)
 		if err != nil {
-			traces.abort()
+			rc.traces.abort()
 			return err
 		}
 		results = [][]sim.SharedResult{res}
@@ -530,24 +457,74 @@ func runFleet(names []string, o fleetOpts, out io.Writer) error {
 		}
 	}
 	fmt.Fprint(out, tbl.String())
+	return rc.finish(out, label, fmt.Sprintf("fleet of %d / %s", len(encs), o.scheme), o.metricsOut)
+}
 
-	if err := traces.finish(out, func(i int) string {
-		if domains == 1 {
-			return "trace:            "
+// recording is one engine's instrumentation: the -trace sinks, the
+// -metrics-out recorder, and the -serve ring, teed onto one hook. The
+// zero value records nothing.
+type recording struct {
+	hook   obs.Hook
+	traces domainTraces
+	rec    *obs.Recorder
+	stop   func() // shuts down the -serve endpoint (record sets a no-op)
+}
+
+// record opens a single engine's recording from o's flags: -trace
+// streams to its path untagged, while -metrics-out keeps an in-memory
+// recorder (the derived report needs the whole timeline). The trace
+// streams through a StreamSink — encoded and flushed as it is emitted,
+// so a traced run's memory is independent of trace length and -trace
+// works on unbounded -stream -repeat 0 runs. The live-metrics ring rides
+// the same hook via Tee; it locks per event, so HTTP scrapers see
+// consistent snapshots mid-run. On error nothing is left open.
+func record(o fleetOpts, out io.Writer) (recording, error) {
+	rc := recording{stop: func() {}}
+	var hooks []obs.Hook
+	if o.tracePath != "" {
+		var err error
+		if rc.traces, err = openDomainTraces(o.tracePath, "", 1); err != nil {
+			return recording{}, err
 		}
-		return fmt.Sprintf("trace shard %d:    ", i)
-	}); err != nil {
+		hooks = append(hooks, rc.traces.sinks[0])
+	}
+	if o.metricsOut != "" {
+		rc.rec = obs.NewRecorder()
+		hooks = append(hooks, rc.rec)
+	}
+	if o.serveAddr != "" {
+		ring := obs.NewRing(0)
+		hooks = append(hooks, ring)
+		stop, err := serveMetrics(o.serveAddr, ring, out)
+		if err != nil {
+			rc.traces.abort()
+			return recording{}, err
+		}
+		rc.stop = stop
+	}
+	rc.hook = obs.Tee(hooks...)
+	return rc, nil
+}
+
+// finish closes the traces, printing one line per domain (see
+// domainTraces.finish), then writes the -metrics-out report titled
+// title to path.
+func (rc recording) finish(out io.Writer, label func(i int) string, title, path string) error {
+	if err := rc.traces.finish(out, label); err != nil {
 		return err
 	}
-	if rec != nil {
-		title := fmt.Sprintf("fleet of %d / %s", len(encs), o.scheme)
-		if err := writeMetrics(rec, title, o.metricsOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "metrics:          %s\n", o.metricsOut)
+	if rc.rec == nil {
+		return nil
 	}
+	if err := writeMetrics(rc.rec, title, path); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "metrics:          %s\n", path)
 	return nil
 }
+
+// singleTraceLabel labels a one-domain run's trace line.
+func singleTraceLabel(int) string { return "trace:            " }
 
 // runClusterFleet turns the benchmark list into a timed arrival stream
 // (launch i at i * arrivalPeriod) and drives it through the fleet
@@ -591,7 +568,7 @@ func runSpecFleet(path string, rateScale float64, o fleetOpts, out io.Writer) er
 		BackgroundReclaim: o.reclaim,
 		RateScale:         rateScale,
 		Selection: func(w *workload.Workload) (*sip.Selection, error) {
-			return buildSelection(w, o.epcPages, o.dfp, o.threshold, true)
+			return buildSelection(w, o.epcPages, o.dfp, o.threshold)
 		},
 	})
 	if err != nil {
@@ -608,7 +585,7 @@ func runFleetArrivals(arrivals []fleet.Arrival, o fleetOpts, out io.Writer) erro
 	cfg := fleet.Config{
 		Hosts:       o.hosts,
 		Policy:      o.placement,
-		Platform:    sim.SharedConfig{EPCPages: o.epcPages, EvictPolicy: o.policy, Quota: o.quota},
+		Platform:    o.platform(),
 		AdmitPeriod: o.admitPeriod,
 		AdmitBurst:  o.admitBurst,
 		Workers:     o.workers,

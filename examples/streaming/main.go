@@ -54,13 +54,13 @@ func main() {
 	fmt.Printf("  DFP-stop: %d cycles, %d faults, %d preloads (%+.1f%%)\n",
 		dfp.Cycles, dfp.Faults, dfp.PreloadsStarted, sgxpreload.ImprovementPct(dfp, base))
 
-	// Built-in benchmarks stream the same way: their generators run as
-	// coroutines suspended between accesses.
+	// Run streams built-in benchmarks the same way: their generators run
+	// as coroutines suspended between accesses.
 	w, err := sgxpreload.Benchmark("lbm")
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sgxpreload.RunWorkloadStream(w, sgxpreload.Ref, cfg)
+	res, err := sgxpreload.Run(w, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

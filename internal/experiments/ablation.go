@@ -51,17 +51,12 @@ func EPCSweep(r *Runner) (EPCSweepResult, error) {
 			if err != nil {
 				return cell{}, err
 			}
-			pages := out.EPCPages[i%nP]
-			base, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme: sim.Baseline, EPCPages: pages, ELRangePages: w.ELRangePages(),
-			})
+			platform := sim.SharedConfig{EPCPages: out.EPCPages[i%nP]}
+			base, err := r.run(w, sim.Enclave{Scheme: sim.Baseline}, platform)
 			if err != nil {
 				return cell{}, err
 			}
-			d, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme: sim.DFPStop, EPCPages: pages, ELRangePages: w.ELRangePages(),
-				DFP: r.p.DFP,
-			})
+			d, err := r.run(w, sim.Enclave{Scheme: sim.DFPStop}, platform)
 			if err != nil {
 				return cell{}, err
 			}
@@ -134,13 +129,7 @@ func PredictorAblation(r *Runner) (PredictorAblationResult, error) {
 			if err != nil {
 				return 0, err
 			}
-			res, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme:       sim.DFP,
-				EPCPages:     r.p.EPCPages,
-				ELRangePages: w.ELRangePages(),
-				DFP:          r.p.DFP,
-				Predictor:    out.Kinds[i%nK],
-			})
+			res, err := r.run(w, sim.Enclave{Scheme: sim.DFP, Predictor: out.Kinds[i%nK]}, sim.SharedConfig{})
 			if err != nil {
 				return 0, err
 			}
@@ -199,12 +188,7 @@ func EvictionAblation(r *Runner) (EvictionAblationResult, error) {
 			if err != nil {
 				return 0, err
 			}
-			res, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme:       sim.Baseline,
-				EPCPages:     r.p.EPCPages,
-				ELRangePages: w.ELRangePages(),
-				EvictPolicy:  out.Policies[i%nPol],
-			})
+			res, err := r.run(w, sim.Enclave{Scheme: sim.Baseline}, sim.SharedConfig{EvictPolicy: out.Policies[i%nPol]})
 			if err != nil {
 				return 0, err
 			}
@@ -273,17 +257,11 @@ func CostSensitivity(r *Runner) (CostSensitivityResult, error) {
 		func(i int) (cell, error) {
 			cm := mem.DefaultCostModel()
 			cm.Load = out.LoadCosts[i]
-			base, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme: sim.Baseline, Costs: cm,
-				EPCPages: r.p.EPCPages, ELRangePages: w.ELRangePages(),
-			})
+			base, err := r.run(w, sim.Enclave{Scheme: sim.Baseline}, sim.SharedConfig{Costs: cm})
 			if err != nil {
 				return cell{}, err
 			}
-			d, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme: sim.DFPStop, Costs: cm, DFP: r.p.DFP,
-				EPCPages: r.p.EPCPages, ELRangePages: w.ELRangePages(),
-			})
+			d, err := r.run(w, sim.Enclave{Scheme: sim.DFPStop}, sim.SharedConfig{Costs: cm})
 			if err != nil {
 				return cell{}, err
 			}
@@ -424,10 +402,8 @@ func BackwardStreams(r *Runner) (BackwardStreamResult, error) {
 	res, err := sweep(r, "ablation-backward", len(configs),
 		func(i int) string { return configs[i].name },
 		func(i int) (sim.Result, error) {
-			return sim.Run(trace, sim.Config{
-				Scheme: configs[i].scheme, EPCPages: r.p.EPCPages,
-				ELRangePages: pages, DFP: configs[i].dfp,
-			})
+			e := sim.Enclave{Name: "descending-sweep", Trace: trace, Pages: pages, Scheme: configs[i].scheme, DFP: configs[i].dfp}
+			return r.run(nil, e, sim.SharedConfig{})
 		})
 	if err != nil {
 		return out, err
@@ -470,16 +446,11 @@ func ReclaimAblation(r *Runner) (ReclaimAblationResult, error) {
 			if err != nil {
 				return cell{}, err
 			}
-			sync, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme: sim.Baseline, EPCPages: r.p.EPCPages, ELRangePages: w.ELRangePages(),
-			})
+			sync, err := r.Run(w, sim.Baseline)
 			if err != nil {
 				return cell{}, err
 			}
-			bg, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme: sim.Baseline, EPCPages: r.p.EPCPages, ELRangePages: w.ELRangePages(),
-				BackgroundReclaim: true,
-			})
+			bg, err := r.run(w, sim.Enclave{Scheme: sim.Baseline, BackgroundReclaim: true}, sim.SharedConfig{})
 			if err != nil {
 				return cell{}, err
 			}
@@ -546,12 +517,7 @@ func EagerSIP(r *Runner) (EagerSIPResult, error) {
 			if out.Leads[i] > 0 {
 				tr = insertPrefetches(trace, sel, out.Leads[i])
 			}
-			res, err := sim.Run(tr, sim.Config{
-				Scheme:       sim.SIP,
-				EPCPages:     r.p.EPCPages,
-				ELRangePages: w.ELRangePages(),
-				Selection:    sel,
-			})
+			res, err := r.run(w, sim.Enclave{Trace: tr, Scheme: sim.SIP, Selection: sel}, sim.SharedConfig{})
 			if err != nil {
 				return 0, err
 			}

@@ -165,60 +165,48 @@ func (r *Runner) SelectionAt(w *workload.Workload, threshold float64) (*sip.Sele
 
 // Run executes workload w's ref input under the given scheme.
 func (r *Runner) Run(w *workload.Workload, scheme sim.Scheme) (sim.Result, error) {
-	return r.RunDFP(w, scheme, r.p.DFP)
+	return r.run(w, sim.Enclave{Scheme: scheme}, sim.SharedConfig{})
 }
 
 // RunDFP is Run with an explicit DFP configuration (for parameter sweeps).
 func (r *Runner) RunDFP(w *workload.Workload, scheme sim.Scheme, d dfp.Config) (sim.Result, error) {
-	cfg := sim.Config{
-		Scheme:       scheme,
-		EPCPages:     r.p.EPCPages,
-		ELRangePages: w.ELRangePages(),
-		DFP:          d,
-	}
-	if scheme.UsesSIP() {
-		if !w.Instrumentable {
-			return sim.Result{}, fmt.Errorf("experiments: %s is not instrumentable (%s)", w.Name, w.Language)
-		}
-		sel, err := r.Selection(w)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		cfg.Selection = sel
-	}
-	res, err := sim.Run(r.Trace(w, workload.Ref), cfg)
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("experiments: %s/%s: %w", w.Name, scheme, err)
-	}
-	return res, nil
+	return r.run(w, sim.Enclave{Scheme: scheme, DFP: d}, sim.SharedConfig{})
 }
 
-// RunStreamed is Run over the workload's pull-based generator: identical
-// results, but the ref trace is never materialized (and never cached) —
-// the memory-bound path for footprints too large to hold as a slice.
-// Profiling for SIP schemes still uses the cached train trace.
-func (r *Runner) RunStreamed(w *workload.Workload, scheme sim.Scheme) (sim.Result, error) {
-	cfg := sim.Config{
-		Scheme:       scheme,
-		EPCPages:     r.p.EPCPages,
-		ELRangePages: w.ELRangePages(),
-		DFP:          r.p.DFP,
-	}
-	if scheme.UsesSIP() {
-		if !w.Instrumentable {
-			return sim.Result{}, fmt.Errorf("experiments: %s is not instrumentable (%s)", w.Name, w.Language)
+// run executes e as a solo run on platform p — the one path every
+// runner cell takes. It labels e with w's name and ELRANGE, and fills
+// in from the runner whatever e and p leave zero: w's cached Ref trace,
+// the DFP operating point, the EPC size and, for SIP schemes, w's
+// cached selection. w may be nil for a synthetic trace that e carries
+// with its own range.
+func (r *Runner) run(w *workload.Workload, e sim.Enclave, p sim.SharedConfig) (sim.Result, error) {
+	if w != nil {
+		e.Name, e.Pages = w.Name, w.ELRangePages()
+		if e.Trace == nil {
+			e.Trace = r.Trace(w, workload.Ref)
 		}
-		sel, err := r.Selection(w)
-		if err != nil {
-			return sim.Result{}, err
+		if e.Scheme.UsesSIP() && e.Selection == nil {
+			if !w.Instrumentable {
+				return sim.Result{}, fmt.Errorf("experiments: %s is not instrumentable (%s)", w.Name, w.Language)
+			}
+			sel, err := r.Selection(w)
+			if err != nil {
+				return sim.Result{}, err
+			}
+			e.Selection = sel
 		}
-		cfg.Selection = sel
 	}
-	res, err := sim.RunStream(w.Stream(workload.Ref), cfg)
+	if e.DFP == (dfp.Config{}) {
+		e.DFP = r.p.DFP
+	}
+	if p.EPCPages == 0 {
+		p.EPCPages = r.p.EPCPages
+	}
+	res, err := sim.RunShared([]sim.Enclave{e}, p)
 	if err != nil {
-		return sim.Result{}, fmt.Errorf("experiments: %s/%s: %w", w.Name, scheme, err)
+		return sim.Result{}, fmt.Errorf("experiments: %s/%s: %w", e.Name, e.Scheme, err)
 	}
-	return res, nil
+	return res[0].Result, nil
 }
 
 // RunAll executes the full (workload, scheme) grid in parallel on the

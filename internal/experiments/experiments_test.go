@@ -332,9 +332,12 @@ func TestSchemeStringsAndSets(t *testing.T) {
 }
 
 func TestRunStreamedMatchesRun(t *testing.T) {
-	// The streamed runner path must reproduce the materialized runner's
-	// results exactly, including the SIP-profiled schemes.
+	// The runner replays each workload's cached, materialized Ref trace;
+	// pulling the same input from the workload's generator through the
+	// engine's Stream path must give identical results, SIP-profiled
+	// schemes included.
 	r := NewRunner(Default())
+	p := r.Params()
 	for _, tc := range []struct {
 		bench  string
 		scheme sim.Scheme
@@ -351,21 +354,33 @@ func TestRunStreamedMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		str, err := r.RunStreamed(w, tc.scheme)
+		e := sim.Enclave{
+			Name:   w.Name,
+			Stream: w.Stream(workload.Ref),
+			Pages:  w.ELRangePages(),
+			Scheme: tc.scheme,
+			DFP:    p.DFP,
+		}
+		if tc.scheme.UsesSIP() {
+			if e.Selection, err = r.Selection(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := sim.RunShared([]sim.Enclave{e}, sim.SharedConfig{EPCPages: p.EPCPages})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mat != str {
-			t.Errorf("%s/%s: RunStreamed diverges from Run:\n  run    %+v\n  stream %+v",
+		if str := res[0].Result; mat != str {
+			t.Errorf("%s/%s: streamed run diverges from Run:\n  run    %+v\n  stream %+v",
 				tc.bench, tc.scheme, mat, str)
 		}
 	}
-	// Non-instrumentable SIP requests fail the same way on both paths.
+	// A SIP request for a non-instrumentable benchmark is rejected.
 	w, err := workload.ByName("bwaves")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.RunStreamed(w, sim.SIP); err == nil {
-		t.Error("RunStreamed instrumented a Fortran benchmark")
+	if _, err := r.Run(w, sim.SIP); err == nil {
+		t.Error("Run instrumented a Fortran benchmark")
 	}
 }

@@ -323,12 +323,7 @@ func Figure9(r *Runner) (Figure9Result, error) {
 			if err != nil {
 				return cell{}, err
 			}
-			res, err := sim.Run(r.Trace(w, workload.Ref), sim.Config{
-				Scheme:       sim.SIP,
-				EPCPages:     r.p.EPCPages,
-				ELRangePages: w.ELRangePages(),
-				Selection:    sel,
-			})
+			res, err := r.run(w, sim.Enclave{Scheme: sim.SIP, Selection: sel}, sim.SharedConfig{})
 			if err != nil {
 				return cell{}, err
 			}

@@ -16,9 +16,16 @@ import (
 // Scheduler semantics: results land by cell index, errors surface in
 // sequential order, and worker counts are clamped sanely.
 
+// sweepAt runs the runner-bound scheduler at a fixed worker count.
+func sweepAt[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
+	r := NewRunner(Default())
+	r.SetParallelism(workers)
+	return sweep(r, "test", n, func(int) string { return "" }, fn)
+}
+
 func TestSweepOrdering(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
-		out, err := Sweep(workers, 100, func(i int) (int, error) { return i * i, nil })
+		out, err := sweepAt(workers, 100, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -31,9 +38,9 @@ func TestSweepOrdering(t *testing.T) {
 }
 
 func TestSweepEmpty(t *testing.T) {
-	out, err := Sweep(4, 0, func(i int) (int, error) { return 0, nil })
+	out, err := sweepAt(4, 0, func(i int) (int, error) { return 0, nil })
 	if out != nil || err != nil {
-		t.Fatalf("Sweep(_, 0) = (%v, %v), want (nil, nil)", out, err)
+		t.Fatalf("sweep of 0 cells = (%v, %v), want (nil, nil)", out, err)
 	}
 }
 
@@ -42,7 +49,7 @@ func TestSweepLowestIndexError(t *testing.T) {
 	// contiguous from zero, so regardless of completion order the caller
 	// must see cell 5's error — the one a sequential loop would hit first.
 	for _, workers := range []int{1, 4} {
-		_, err := Sweep(workers, 50, func(i int) (int, error) {
+		_, err := sweepAt(workers, 50, func(i int) (int, error) {
 			if i >= 5 {
 				return 0, fmt.Errorf("cell %d failed", i)
 			}
@@ -57,7 +64,7 @@ func TestSweepLowestIndexError(t *testing.T) {
 func TestSweepSequentialStopsEarly(t *testing.T) {
 	calls := 0
 	sentinel := errors.New("boom")
-	_, err := Sweep(1, 100, func(i int) (int, error) {
+	_, err := sweepAt(1, 100, func(i int) (int, error) {
 		calls++
 		if i == 2 {
 			return 0, sentinel

@@ -142,12 +142,7 @@ func Motivation(r *Runner) (MotivationResult, error) {
 	if err != nil {
 		return out, err
 	}
-	tr := r.Trace(w, workload.Ref)
-	res, err := sim.Run(tr, sim.Config{
-		Scheme:       sim.Baseline,
-		EPCPages:     r.p.EPCPages,
-		ELRangePages: w.ELRangePages(),
-	})
+	res, err := r.Run(w, sim.Baseline)
 	if err != nil {
 		return out, err
 	}
@@ -156,12 +151,7 @@ func Motivation(r *Runner) (MotivationResult, error) {
 	// Outside the enclave the same faults cost RegularFault cycles and
 	// there is no AEX/ERESUME or load channel: compute + hits + faults.
 	cm := mem.DefaultCostModel()
-	var outside uint64
-	faults := res.Kernel.DemandFaults
-	for _, a := range tr {
-		outside += a.Compute + cm.Hit
-	}
-	outside += faults * cm.RegularFault
+	outside := res.ComputeCycles + res.Accesses*cm.Hit + res.Kernel.DemandFaults*cm.RegularFault
 	out.OutsideCycles = outside
 	if outside > 0 {
 		out.Slowdown = float64(res.Cycles) / float64(outside)

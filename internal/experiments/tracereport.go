@@ -16,26 +16,9 @@ import (
 // identical to an untraced Run of the same configuration.
 func (r *Runner) RunTraced(w *workload.Workload, scheme sim.Scheme) (sim.Result, *obs.Recorder, error) {
 	rec := obs.NewRecorder()
-	cfg := sim.Config{
-		Scheme:       scheme,
-		EPCPages:     r.p.EPCPages,
-		ELRangePages: w.ELRangePages(),
-		DFP:          r.p.DFP,
-		Hook:         rec,
-	}
-	if scheme.UsesSIP() {
-		if !w.Instrumentable {
-			return sim.Result{}, nil, fmt.Errorf("experiments: %s is not instrumentable (%s)", w.Name, w.Language)
-		}
-		sel, err := r.Selection(w)
-		if err != nil {
-			return sim.Result{}, nil, err
-		}
-		cfg.Selection = sel
-	}
-	res, err := sim.Run(r.Trace(w, workload.Ref), cfg)
+	res, err := r.run(w, sim.Enclave{Scheme: scheme}, sim.SharedConfig{Hook: rec})
 	if err != nil {
-		return sim.Result{}, nil, fmt.Errorf("experiments: traced %s/%s: %w", w.Name, scheme, err)
+		return sim.Result{}, nil, err
 	}
 	return res, rec, nil
 }

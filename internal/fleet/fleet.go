@@ -33,17 +33,15 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"sgxpreload/internal/epc/arbiter"
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/obs"
 	"sgxpreload/internal/sim"
 	"sgxpreload/internal/stats"
+	"sgxpreload/internal/workpool"
 )
 
 // Arrival is one enclave-launch request at the fleet's front door.
@@ -226,6 +224,18 @@ func Run(arrivals []Arrival, cfg Config) (Result, error) {
 			}
 		}
 	}
+	// advance applies step to every host on the worker pool. Hosts are
+	// dispatched contiguously from zero, so a failure surfaces as the
+	// lowest-index host's error — the one a sequential loop would hit.
+	advance := func(step func(*sim.Engine) error) error {
+		_, err := workpool.Sweep(cfg.Workers, len(hosts), func(h int) (struct{}, error) {
+			if err := step(hosts[h]); err != nil {
+				return struct{}{}, fmt.Errorf("fleet: host %d: %w", h, err)
+			}
+			return struct{}{}, nil
+		})
+		return err
+	}
 
 	bucket := newTokenBucket(cfg.AdmitPeriod, cfg.AdmitBurst)
 	res := Result{Policy: cfg.Policy, Placement: make([]int, 0, len(arrivals))}
@@ -236,9 +246,7 @@ func Run(arrivals []Arrival, cfg Config) (Result, error) {
 		t := arrivals[i].At
 		// Barrier: settle every host at t so the batch's placement
 		// decisions read signals no later arrival could change.
-		if err := forEachHost(len(hosts), cfg.Workers, func(h int) error {
-			return hosts[h].RunUntil(t)
-		}); err != nil {
+		if err := advance(func(h *sim.Engine) error { return h.RunUntil(t) }); err != nil {
 			closeHosts()
 			closeArrivalStreams(arrivals[i:])
 			return Result{}, err
@@ -267,9 +275,7 @@ func Run(arrivals []Arrival, cfg Config) (Result, error) {
 		}
 	}
 	// The stream is exhausted; drain every host to completion.
-	if err := forEachHost(len(hosts), cfg.Workers, func(h int) error {
-		return hosts[h].Drain()
-	}); err != nil {
+	if err := advance((*sim.Engine).Drain); err != nil {
 		closeHosts()
 		return Result{}, err
 	}
@@ -424,63 +430,6 @@ func (b *tokenBucket) take(t uint64) bool {
 	}
 	b.tokens--
 	return true
-}
-
-// forEachHost runs fn(h) for every host on up to workers goroutines
-// and tags a failure with its host index. Hosts are dispatched
-// contiguously from zero, so on failure the lowest-index error — the
-// one a sequential loop would have hit first — is returned.
-func forEachHost(n, workers int, fn func(int) error) error {
-	run := func(h int) error {
-		if err := fn(h); err != nil {
-			return fmt.Errorf("fleet: host %d: %w", h, err)
-		}
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for h := 0; h < n; h++ {
-			if err := run(h); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				h := int(next.Add(1)) - 1
-				if h >= n || failed.Load() {
-					return
-				}
-				if err := run(h); err != nil {
-					errs[h] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // CloseArrivals releases the closeable streams of arrivals that will

@@ -13,7 +13,7 @@ import (
 // trace file is equivalent to having watched the run live.
 func Example() {
 	// A run records its event timeline (here, two synthetic events; in
-	// the engine, sim.Config.Hook = rec does this).
+	// the engine, sim.SharedConfig.Hook = rec does this).
 	rec := obs.NewRecorder()
 	rec.Emit(obs.Event{T: 100, Kind: obs.KindFaultBegin, Page: 7})
 	rec.Emit(obs.Event{T: 64_100, Kind: obs.KindFaultEnd, Page: 7, V1: 64_000})

@@ -18,9 +18,8 @@ import (
 // engines byte for byte. Three artifacts are compared per (scheme,
 // benchmark) cell — the full Result struct, the exported JSONL event
 // timeline, and the Report re-derived from that timeline — first between
-// Run and a single-enclave RunShared (which must be the same engine by
-// construction), and then against golden hashes captured from the seed
-// engines before the unification.
+// a solo cell's materialized and streamed inputs, and then against
+// golden hashes captured from the seed engines before the unification.
 
 // diffBenches are the three representative benchmarks: one regular
 // (lbm), one irregular (deepsjeng), one fault-dominated stream
@@ -57,131 +56,93 @@ func (a diffArtifacts) hash() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// artifactsOf renders a hooked run's artifacts from its result and
-// recorder.
-func artifactsOf(t testing.TB, res interface{}, rec *obs.Recorder) diffArtifacts {
-	t.Helper()
-	var b strings.Builder
-	if err := rec.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	return diffArtifacts{
-		result: fmt.Sprintf("%#v", res),
-		jsonl:  b.String(),
-		report: obs.BuildReport(rec.Events()).String(),
-	}
-}
-
-// soloCell runs one (scheme, benchmark) cell through Run.
-func soloCell(t testing.TB, scheme Scheme, bench string) diffArtifacts {
+// diffEnclave is one cell's enclave: bench under scheme over its
+// materialized Ref trace, with the cmd/sgxsim selection for SIP schemes.
+func diffEnclave(t testing.TB, bench string, scheme Scheme) Enclave {
 	t.Helper()
 	w, err := workload.ByName(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.NewRecorder()
-	cfg := Config{
-		Scheme:       scheme,
-		EPCPages:     2048,
-		ELRangePages: w.ELRangePages(),
-		Hook:         rec,
-	}
-	if scheme.UsesSIP() {
-		cfg.Selection = diffSelection(t, w)
-	}
-	res, err := Run(w.Generate(workload.Ref), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return artifactsOf(t, res, rec)
-}
-
-// sharedCell runs the same cell as a single-enclave RunShared.
-func sharedCell(t testing.TB, scheme Scheme, bench string) diffArtifacts {
-	t.Helper()
-	w, err := workload.ByName(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewRecorder()
-	enc := Enclave{
-		Name:   bench,
+	e := Enclave{
+		Name:   w.Name,
 		Trace:  w.Generate(workload.Ref),
 		Pages:  w.ELRangePages(),
 		Scheme: scheme,
 	}
 	if scheme.UsesSIP() {
-		enc.Selection = diffSelection(t, w)
+		e.Selection = diffSelection(t, w)
 	}
-	res, err := RunShared([]Enclave{enc}, SharedConfig{EPCPages: 2048, Hook: rec})
+	return e
+}
+
+// runCell runs the enclaves on the cells' 2048-frame platform with a
+// recorder attached and captures the three artifacts; result renders
+// the run's outcome.
+func runCell(t testing.TB, encs []Enclave, result func([]SharedResult) any) diffArtifacts {
+	t.Helper()
+	rec := obs.NewRecorder()
+	res, err := RunShared(encs, SharedConfig{EPCPages: 2048, Hook: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return artifactsOf(t, res[0].Result, rec)
+	var b strings.Builder
+	if err := rec.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	return diffArtifacts{
+		result: fmt.Sprintf("%#v", result(res)),
+		jsonl:  b.String(),
+		report: obs.BuildReport(rec.Events()).String(),
+	}
+}
+
+// soloCell runs one (scheme, benchmark) cell as a single-enclave run,
+// fed the materialized Ref trace or, when streamed, the generator
+// coroutine.
+func soloCell(t testing.TB, scheme Scheme, bench string, streamed bool) diffArtifacts {
+	t.Helper()
+	e := diffEnclave(t, bench, scheme)
+	if streamed {
+		w, err := workload.ByName(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Trace, e.Stream = nil, w.Stream(workload.Ref)
+	}
+	return runCell(t, []Enclave{e}, func(res []SharedResult) any { return res[0].Result })
 }
 
 // multiCell runs a fixed two-enclave contention scenario; its golden
 // hash pins the multi-enclave schedule across the refactor.
 func multiCell(t testing.TB, schemeA, schemeB Scheme, benchA, benchB string) diffArtifacts {
 	t.Helper()
-	wa, err := workload.ByName(benchA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb, err := workload.ByName(benchB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(w *workload.Workload, s Scheme) Enclave {
-		e := Enclave{
-			Name:   w.Name,
-			Trace:  w.Generate(workload.Ref),
-			Pages:  w.ELRangePages(),
-			Scheme: s,
-		}
-		if s.UsesSIP() {
-			e.Selection = diffSelection(t, w)
-		}
-		return e
-	}
-	rec := obs.NewRecorder()
-	res, err := RunShared(
-		[]Enclave{mk(wa, schemeA), mk(wb, schemeB)},
-		SharedConfig{EPCPages: 2048, Hook: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := rec.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	return diffArtifacts{
-		result: fmt.Sprintf("%#v", res),
-		jsonl:  b.String(),
-		report: obs.BuildReport(rec.Events()).String(),
-	}
+	encs := []Enclave{diffEnclave(t, benchA, schemeA), diffEnclave(t, benchB, schemeB)}
+	return runCell(t, encs, func(res []SharedResult) any { return res })
 }
 
-// TestDifferentialRunVsShared: Run and single-enclave RunShared must be
-// byte-identical in all three artifacts, for every scheme x benchmark.
+// TestDifferentialRunVsShared: a solo cell fed its materialized trace
+// and the same cell fed the generator stream must be byte-identical in
+// all three artifacts, for every scheme x benchmark — the engine cannot
+// tell its input paths apart.
 func TestDifferentialRunVsShared(t *testing.T) {
 	for _, bench := range diffBenches {
 		for _, scheme := range diffSchemes {
 			t.Run(bench+"/"+scheme.String(), func(t *testing.T) {
-				solo := soloCell(t, scheme, bench)
-				shared := sharedCell(t, scheme, bench)
-				if solo.result != shared.result {
-					t.Errorf("Result diverges:\n  Run       %s\n  RunShared %s",
-						solo.result, shared.result)
+				slice := soloCell(t, scheme, bench, false)
+				streamed := soloCell(t, scheme, bench, true)
+				if slice.result != streamed.result {
+					t.Errorf("Result diverges:\n  slice  %s\n  stream %s",
+						slice.result, streamed.result)
 				}
-				if solo.jsonl != shared.jsonl {
+				if slice.jsonl != streamed.jsonl {
 					t.Errorf("JSONL trace diverges (%d vs %d bytes): %s",
-						len(solo.jsonl), len(shared.jsonl),
-						firstDiffLine(solo.jsonl, shared.jsonl))
+						len(slice.jsonl), len(streamed.jsonl),
+						firstDiffLine(slice.jsonl, streamed.jsonl))
 				}
-				if solo.report != shared.report {
-					t.Errorf("replayed Report diverges:\n--- Run ---\n%s\n--- RunShared ---\n%s",
-						solo.report, shared.report)
+				if slice.report != streamed.report {
+					t.Errorf("replayed Report diverges:\n--- slice ---\n%s\n--- stream ---\n%s",
+						slice.report, streamed.report)
 				}
 			})
 		}
@@ -245,7 +206,7 @@ func TestGoldenVsSeed(t *testing.T) {
 	}
 	for _, bench := range diffBenches {
 		for _, scheme := range diffSchemes {
-			check("run/"+bench+"/"+scheme.String(), soloCell(t, scheme, bench))
+			check("run/"+bench+"/"+scheme.String(), soloCell(t, scheme, bench, false))
 		}
 	}
 	check("shared/lbm:DFP-stop+deepsjeng:baseline",

@@ -28,12 +28,8 @@ func FuzzEngine(f *testing.F) {
 			})
 		}
 		scheme := Scheme(int(schemeSel) % 5)
-		cfg := Config{
-			Scheme:       scheme,
-			EPCPages:     1 + int(schemeSel)%64,
-			ELRangePages: pages,
-		}
-		res, err := Run(trace, cfg)
+		cfg := SharedConfig{EPCPages: 1 + int(schemeSel)%64}
+		res, err := solo(Enclave{Trace: trace, Pages: pages, Scheme: scheme}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +43,7 @@ func FuzzEngine(f *testing.F) {
 		if res.Cycles < res.ComputeCycles {
 			t.Fatalf("cycles %d < compute %d", res.Cycles, res.ComputeCycles)
 		}
-		streamed, err := RunStream(funcStream(trace), cfg)
+		streamed, err := solo(Enclave{Stream: funcStream(trace), Pages: pages, Scheme: scheme}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

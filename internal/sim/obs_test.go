@@ -29,13 +29,11 @@ func mixedTrace(pages int) []mem.Access {
 func TestHookDoesNotPerturbRun(t *testing.T) {
 	trace := mixedTrace(2000)
 	for _, scheme := range []Scheme{Baseline, DFP, DFPStop} {
-		c := cfg(scheme)
-		plain, err := Run(trace, c)
+		plain, err := solo(fixture(trace, scheme), small)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Hook = obs.NewRecorder()
-		hooked, err := Run(trace, c)
+		hooked, err := solo(fixture(trace, scheme), SharedConfig{EPCPages: small.EPCPages, Hook: obs.NewRecorder()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,10 +49,8 @@ func TestHookDoesNotPerturbRun(t *testing.T) {
 func TestEventStreamDeterministic(t *testing.T) {
 	trace := mixedTrace(2000)
 	export := func() string {
-		c := cfg(DFPStop)
 		rec := obs.NewRecorder()
-		c.Hook = rec
-		if _, err := Run(trace, c); err != nil {
+		if _, err := solo(fixture(trace, DFPStop), SharedConfig{EPCPages: small.EPCPages, Hook: rec}); err != nil {
 			t.Fatal(err)
 		}
 		var b strings.Builder
@@ -77,12 +73,8 @@ func TestEventsMatchResultCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder()
-	res, err := Run(w.Generate(workload.Ref), Config{
-		Scheme:       DFPStop,
-		EPCPages:     2048,
-		ELRangePages: w.ELRangePages(),
-		Hook:         rec,
-	})
+	res, err := solo(Enclave{Trace: w.Generate(workload.Ref), Pages: w.ELRangePages(), Scheme: DFPStop},
+		SharedConfig{EPCPages: 2048, Hook: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,14 +132,12 @@ func TestHookOverheadGuard(t *testing.T) {
 		t.Skip("set SGXSIM_HOOKGUARD=1 to measure disabled-hook overhead")
 	}
 	trace := mixedTrace(60000)
-	guardCfg := func() Config {
-		return Config{Scheme: DFPStop, EPCPages: 2048, ELRangePages: 65536}
-	}
-	measure := func(c Config) time.Duration {
+	enc := Enclave{Trace: trace, Pages: 65536, Scheme: DFPStop}
+	measure := func(hook obs.Hook) time.Duration {
 		best := time.Duration(1<<63 - 1)
 		for i := 0; i < 5; i++ {
 			start := time.Now()
-			if _, err := Run(trace, c); err != nil {
+			if _, err := solo(enc, SharedConfig{EPCPages: 2048, Hook: hook}); err != nil {
 				t.Fatal(err)
 			}
 			if d := time.Since(start); d < best {
@@ -156,10 +146,8 @@ func TestHookOverheadGuard(t *testing.T) {
 		}
 		return best
 	}
-	nilHook := measure(guardCfg())
-	c := guardCfg()
-	c.Hook = nopHook{}
-	withHook := measure(c)
+	nilHook := measure(nil)
+	withHook := measure(nopHook{})
 	overhead := float64(withHook-nilHook) / float64(nilHook)
 	t.Logf("nil hook %v, no-op hook %v: %+.2f%% overhead", nilHook, withHook, 100*overhead)
 	if overhead > 0.15 {

@@ -19,10 +19,8 @@ import (
 // its own fault history, preload queue, instrumentation, bitmap view,
 // and counters, contending for one physical EPC and one load channel.
 // Each enclave's virtual pages are mapped into a disjoint slice of the
-// shared page space.
-//
-// RunShared is a wrapper over the same Engine that backs Run, so every
-// single-enclave configuration knob — the predictor strategy, DFP
+// shared page space. A solo run is the one-enclave case of the same
+// call, so every configuration knob — the predictor strategy, DFP
 // tunables, SIP selection, background reclaim — is available per
 // enclave under contention.
 
@@ -43,9 +41,11 @@ type Enclave struct {
 	Pages uint64
 	// Scheme is the enclave's preloading configuration.
 	Scheme Scheme
-	// DFP tunables (zero value = paper defaults).
+	// DFP tunables for DFP-style schemes (zero value = paper defaults).
+	// The Stop field is forced on for DFPStop and Hybrid.
 	DFP dfp.Config
-	// Selection carries the enclave's SIP instrumentation sites.
+	// Selection carries the enclave's SIP instrumentation sites (from
+	// profiling); consulted by SIP and Hybrid schemes.
 	Selection *sip.Selection
 	// Predictor selects the fault-history strategy for DFP-style
 	// schemes; the zero value is the paper's multiple-stream recognizer.
@@ -62,22 +62,29 @@ type SharedConfig struct {
 	Costs mem.CostModel
 	// EPCPages is the total physical EPC shared by all enclaves.
 	EPCPages int
-	// ScanPeriod, MaxPending, and EvictPolicy as in Config.
-	ScanPeriod  uint64
-	MaxPending  int
+	// ScanPeriod and MaxPending pass through to every kernel; zero
+	// selects defaults.
+	ScanPeriod uint64
+	MaxPending int
+	// EvictPolicy selects the EPC victim-selection algorithm; the zero
+	// value is the driver's CLOCK.
 	EvictPolicy epc.Policy
 	// Quota selects the per-enclave EPC quota policy (see package
 	// arbiter). The zero value, Global, keeps the single victim scan
-	// over all frames — byte-identical to runs predating the arbiter.
+	// over all frames — byte-identical to runs predating the arbiter; in
+	// a solo run any policy is the degenerate one-owner partition.
 	// Under any other policy each engine (one per EPC domain) builds its
 	// own arbiter, enclaves register in admission order, and rebalances
 	// happen at scan boundaries — all on the engine's single goroutine,
 	// so quota trajectories are deterministic at any worker count.
 	Quota arbiter.Policy
 	// Hook, when non-nil, receives every enclave's event timeline (see
-	// package obs). Pages in shared-run events are global — each
-	// enclave's slice of the shared space — so the enclaves remain
-	// distinguishable on one timeline.
+	// package obs): faults, channel transfers, preload queue/abort,
+	// evictions, service scans, DFP accuracy and stop, predictor stream
+	// lifecycles. Pages in shared-run events are global — each enclave's
+	// slice of the shared space — so the enclaves remain distinguishable
+	// on one timeline. A nil Hook costs only untaken branches, and the
+	// simulated virtual time is identical with and without a hook.
 	Hook obs.Hook
 	// HookFactory, when non-nil, supplies one hook per EPC domain: the
 	// fleet layer calls it once per host index, so each domain records
@@ -98,7 +105,8 @@ type SharedResult struct {
 }
 
 // RunShared co-simulates the enclaves on one shared EPC: it builds the
-// Engine and drives it to completion. Enclaves advance in global
+// Engine and drives it to completion. It is the engine's one run-to-
+// completion entry point; a solo run passes one enclave. Enclaves advance in global
 // virtual-time order (the enclave with the smallest clock executes its
 // next access), so channel serialization and evictions interleave
 // exactly as a time-sliced platform would interleave them.

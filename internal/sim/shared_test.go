@@ -27,24 +27,26 @@ func TestRunSharedValidation(t *testing.T) {
 }
 
 func TestRunSharedSingleEnclaveMatchesSolo(t *testing.T) {
-	// One enclave on the shared runner must behave exactly like Run.
+	// One enclave run to completion must match the same enclave
+	// stepped by hand on an incremental engine, Result for Result.
 	tr := seqTrace(256, 2, 5000)
-	solo, err := Run(tr, Config{Scheme: DFP, EPCPages: 128, ELRangePages: 4096})
+	enc := Enclave{Name: "only", Trace: tr, Pages: 4096, Scheme: DFP}
+	shared, err := RunShared([]Enclave{enc}, SharedConfig{EPCPages: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := RunShared([]Enclave{{
-		Name: "only", Trace: tr, Pages: 4096, Scheme: DFP,
-	}}, SharedConfig{EPCPages: 128})
+	eng, err := New([]Enclave{enc}, SharedConfig{EPCPages: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shared[0].Cycles != solo.Cycles {
-		t.Fatalf("shared single-enclave run = %d cycles, solo = %d", shared[0].Cycles, solo.Cycles)
+	for more := true; more; {
+		if more, err = eng.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if shared[0].Kernel.DemandFaults != solo.Kernel.DemandFaults {
-		t.Fatalf("fault counts differ: %d vs %d",
-			shared[0].Kernel.DemandFaults, solo.Kernel.DemandFaults)
+	if stepped := eng.Result(0); shared[0] != stepped {
+		t.Fatalf("single-enclave run diverges from a stepped engine:\n  run     %+v\n  stepped %+v",
+			shared[0], stepped)
 	}
 }
 
@@ -52,7 +54,7 @@ func TestRunSharedContentionHurts(t *testing.T) {
 	// Two enclaves halve the effective EPC: each must run slower than it
 	// would alone on the full EPC (the paper's §5.6 contention point).
 	tr := seqTrace(1500, 2, 30000)
-	solo, err := Run(tr, Config{Scheme: Baseline, EPCPages: 2048, ELRangePages: 2048})
+	alone, err := solo(Enclave{Trace: tr, Pages: 2048, Scheme: Baseline}, SharedConfig{EPCPages: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +66,9 @@ func TestRunSharedContentionHurts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range res {
-		if r.Cycles <= solo.Cycles {
+		if r.Cycles <= alone.Cycles {
 			t.Errorf("enclave %s under contention (%d cycles) not slower than solo (%d)",
-				r.Name, r.Cycles, solo.Cycles)
+				r.Name, r.Cycles, alone.Cycles)
 		}
 	}
 }
@@ -127,9 +129,10 @@ func TestRunSharedIsolatedCounters(t *testing.T) {
 }
 
 // Regression for the shared-engine knob drift: before the unification,
-// RunShared silently ignored Config.Predictor — an alternative-predictor
-// ablation under EPC contention quietly ran the default multistream
-// recognizer. A non-default predictor must now change the outcome.
+// RunShared silently ignored the solo run's predictor knob — an
+// alternative-predictor ablation under EPC contention quietly ran the
+// default multistream recognizer. A non-default predictor must now
+// change the outcome.
 func TestRunSharedHonorsPredictor(t *testing.T) {
 	w, err := workload.ByName("deepsjeng")
 	if err != nil {

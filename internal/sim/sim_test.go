@@ -19,23 +19,37 @@ func seqTrace(pages, passes int, compute uint64) []mem.Access {
 	return out
 }
 
-func cfg(scheme Scheme) Config {
-	return Config{Scheme: scheme, EPCPages: 64, ELRangePages: 4096}
+// solo runs e as the only enclave on platform cfg — the one-enclave
+// RunShared that most engine tests exercise.
+func solo(e Enclave, cfg SharedConfig) (Result, error) {
+	res, err := RunShared([]Enclave{e}, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0].Result, nil
 }
 
+// fixture is the small test enclave: trace under scheme on a 4096-page
+// ELRANGE, run on the 64-frame small platform.
+func fixture(trace []mem.Access, scheme Scheme) Enclave {
+	return Enclave{Trace: trace, Pages: 4096, Scheme: scheme}
+}
+
+var small = SharedConfig{EPCPages: 64}
+
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(nil, Config{Scheme: Baseline, EPCPages: 4}); err == nil {
-		t.Fatal("Run without ELRangePages succeeded")
+	if _, err := solo(Enclave{Scheme: Baseline}, SharedConfig{EPCPages: 4}); err == nil {
+		t.Fatal("run without an ELRANGE succeeded")
 	}
-	bad := cfg(Baseline)
+	bad := small
 	bad.Costs = mem.CostModel{AEX: 1} // Load == 0
-	if _, err := Run(nil, bad); err == nil {
-		t.Fatal("Run with invalid cost model succeeded")
+	if _, err := solo(fixture(nil, Baseline), bad); err == nil {
+		t.Fatal("run with invalid cost model succeeded")
 	}
 }
 
 func TestEmptyTrace(t *testing.T) {
-	res, err := Run(nil, cfg(Baseline))
+	res, err := solo(fixture(nil, Baseline), small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +61,7 @@ func TestEmptyTrace(t *testing.T) {
 func TestBaselineAccounting(t *testing.T) {
 	cm := mem.DefaultCostModel()
 	tr := seqTrace(10, 1, 100)
-	res, err := Run(tr, cfg(Baseline))
+	res, err := solo(fixture(tr, Baseline), small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +74,7 @@ func TestBaselineAccounting(t *testing.T) {
 		t.Fatalf("faults = %d, hits = %d; want 10, 0", res.Faults(), res.Hits)
 	}
 	// Second pass hits.
-	res2, err := Run(seqTrace(10, 2, 100), cfg(Baseline))
+	res2, err := solo(fixture(seqTrace(10, 2, 100), Baseline), small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +89,12 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := w.Generate(workload.Ref)
-	c := Config{Scheme: DFP, EPCPages: 2048, ELRangePages: w.ELRangePages()}
-	a, err := Run(tr, c)
+	e := Enclave{Trace: tr, Pages: w.ELRangePages(), Scheme: DFP}
+	a, err := solo(e, SharedConfig{EPCPages: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tr, c)
+	b, err := solo(e, SharedConfig{EPCPages: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +108,11 @@ func TestDFPBeatsBaselineOnSequentialScan(t *testing.T) {
 	// application; in the channel-bound regime faults would persist as
 	// in-flight waits instead.
 	tr := seqTrace(1024, 1, 100000)
-	base, err := Run(tr, cfg(Baseline))
+	base, err := solo(fixture(tr, Baseline), small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Run(tr, cfg(DFP))
+	d, err := solo(fixture(tr, DFP), small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +159,9 @@ func TestSIPConvertsFaultsToNotifies(t *testing.T) {
 		9: {Class3: 100},
 	}}
 	sel := sip.Select(prof, 0.05, 0)
-	c := cfg(SIP)
-	c.Selection = sel
-	res, err := Run(tr, c)
+	e := fixture(tr, SIP)
+	e.Selection = sel
+	res, err := solo(e, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +176,7 @@ func TestSIPConvertsFaultsToNotifies(t *testing.T) {
 	}
 
 	// The same trace under baseline pays AEX+ERESUME per access more.
-	base, err := Run(tr, cfg(Baseline))
+	base, err := solo(fixture(tr, Baseline), small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +195,13 @@ func TestSIPCheckOverheadOnResidentPages(t *testing.T) {
 		tr = append(tr, mem.Access{Site: 9, Page: 5, Compute: 10})
 	}
 	prof := &sip.Profile{Sites: map[mem.SiteID]*sip.SiteProfile{9: {Class3: 1}}}
-	c := cfg(SIP)
-	c.Selection = sip.Select(prof, 0.05, 0)
-	res, err := Run(tr, c)
+	e := fixture(tr, SIP)
+	e.Selection = sip.Select(prof, 0.05, 0)
+	res, err := solo(e, small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(tr, cfg(Baseline))
+	base, err := solo(fixture(tr, Baseline), small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,9 +231,9 @@ func TestHybridUsesBothMechanisms(t *testing.T) {
 		cl.Record(a.Site, a.Page)
 	}
 	sel := sip.Select(cl.Profile(), 0.05, 32)
-	res, err := Run(w.Generate(workload.Ref), Config{
-		Scheme: Hybrid, EPCPages: 2048, ELRangePages: w.ELRangePages(), Selection: sel,
-	})
+	res, err := solo(Enclave{
+		Trace: w.Generate(workload.Ref), Pages: w.ELRangePages(), Scheme: Hybrid, Selection: sel,
+	}, SharedConfig{EPCPages: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +247,7 @@ func TestHybridUsesBothMechanisms(t *testing.T) {
 
 func TestEPCOfOnePage(t *testing.T) {
 	tr := seqTrace(16, 2, 10)
-	c := Config{Scheme: DFP, EPCPages: 1, ELRangePages: 64}
-	res, err := Run(tr, c)
+	res, err := solo(Enclave{Trace: tr, Pages: 64, Scheme: DFP}, SharedConfig{EPCPages: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +260,11 @@ func TestEPCOfOnePage(t *testing.T) {
 
 func TestFootprintSmallerThanEPCIsNoop(t *testing.T) {
 	tr := seqTrace(32, 4, 100)
-	base, err := Run(tr, cfg(Baseline))
+	base, err := solo(fixture(tr, Baseline), small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Run(tr, cfg(DFPStop))
+	d, err := solo(fixture(tr, DFPStop), small)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,14 +41,13 @@ func TestPropertyStreamEqualsSlice(t *testing.T) {
 		trace := randomTrace(r, 3000, pages)
 		sel := randomSelection(r.Fork())
 		for _, scheme := range schemes {
-			cfg := Config{
-				Scheme: scheme, EPCPages: 192, ELRangePages: pages, Selection: sel,
-			}
-			slice, err := Run(trace, cfg)
+			enc := Enclave{Trace: trace, Pages: pages, Scheme: scheme, Selection: sel}
+			slice, err := solo(enc, SharedConfig{EPCPages: 192})
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, scheme, err)
 			}
-			streamed, err := RunStream(funcStream(trace), cfg)
+			enc.Trace, enc.Stream = nil, funcStream(trace)
+			streamed, err := solo(enc, SharedConfig{EPCPages: 192})
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, scheme, err)
 			}
@@ -105,12 +104,12 @@ func TestWorkloadStreamThroughEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Scheme: DFPStop, EPCPages: 2048, ELRangePages: w.ELRangePages()}
-		slice, err := Run(w.Generate(workload.Ref), cfg)
+		cfg := SharedConfig{EPCPages: 2048}
+		slice, err := solo(Enclave{Trace: w.Generate(workload.Ref), Pages: w.ELRangePages(), Scheme: DFPStop}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := RunStream(w.Stream(workload.Ref), cfg)
+		streamed, err := solo(Enclave{Stream: w.Stream(workload.Ref), Pages: w.ELRangePages(), Scheme: DFPStop}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,11 +148,8 @@ func TestStreamSmoke(t *testing.T) {
 	}
 	const accesses = 10_000_000
 	const pages = 1 << 16
-	enc, scfg := Config{
-		Scheme: DFPStop, EPCPages: 2048, ELRangePages: pages,
-	}.solo()
-	enc.Stream = mem.Limit(syntheticStream(pages), accesses)
-	eng, err := New([]Enclave{enc}, scfg)
+	enc := Enclave{Stream: mem.Limit(syntheticStream(pages), accesses), Pages: pages, Scheme: DFPStop}
+	eng, err := New([]Enclave{enc}, SharedConfig{EPCPages: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +203,8 @@ func TestStreamSmoke(t *testing.T) {
 // past its ring/map growth phase, then measure.
 func TestStepAllocsO1(t *testing.T) {
 	const pages = 1 << 14
-	enc, scfg := Config{
-		Scheme: DFPStop, EPCPages: 1024, ELRangePages: pages,
-	}.solo()
-	enc.Stream = syntheticStream(pages)
-	eng, err := New([]Enclave{enc}, scfg)
+	enc := Enclave{Stream: syntheticStream(pages), Pages: pages, Scheme: DFPStop}
+	eng, err := New([]Enclave{enc}, SharedConfig{EPCPages: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +231,8 @@ func TestStepAllocsO1(t *testing.T) {
 // (allocs/op must be ~0; see TestStepAllocsO1 for the hard guard).
 func BenchmarkRunStream(b *testing.B) {
 	const pages = 1 << 14
-	enc, scfg := Config{
-		Scheme: DFPStop, EPCPages: 1024, ELRangePages: pages,
-	}.solo()
-	enc.Stream = syntheticStream(pages)
-	eng, err := New([]Enclave{enc}, scfg)
+	enc := Enclave{Stream: syntheticStream(pages), Pages: pages, Scheme: DFPStop}
+	eng, err := New([]Enclave{enc}, SharedConfig{EPCPages: 1024})
 	if err != nil {
 		b.Fatal(err)
 	}

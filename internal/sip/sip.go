@@ -145,10 +145,11 @@ func (c *Classifier) Record(site mem.SiteID, page mem.PageID) Class {
 	// Install the page in the residency model (evicting CLOCK's victim
 	// when full) and, mirroring DFP's effect, mark its predicted pages
 	// resident too: a Class-2 access only stays cheap because DFP loads
-	// its successors.
+	// its successors. Like the kernel, skip predictions past the
+	// ELRANGE: a stream reaching the last page has nothing to preload.
 	c.install(page)
 	for _, pp := range predicted {
-		if !c.resident.Present(pp) {
+		if uint64(pp) < c.resident.Pages() && !c.resident.Present(pp) {
 			c.install(pp)
 		}
 	}

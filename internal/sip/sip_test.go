@@ -57,6 +57,22 @@ func TestClass2StreamFollower(t *testing.T) {
 	}
 }
 
+func TestStreamReachingLastPage(t *testing.T) {
+	// A sequential stream over the whole ELRANGE predicts pages past its
+	// end; the residency model must skip them, not panic.
+	const pages = 8
+	c, err := NewClassifier(16, pages, dfp.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := mem.PageID(0); p < pages; p++ {
+		c.Record(1, p)
+	}
+	if prof := c.Profile(); prof.Accesses != pages {
+		t.Fatalf("profiled %d accesses, want %d", prof.Accesses, pages)
+	}
+}
+
 func TestClass3Irregular(t *testing.T) {
 	c := newClassifier(t, 64)
 	c.Record(1, 100)

@@ -22,12 +22,17 @@
 //
 //	sel, _ := sgxpreload.Profile(w, sgxpreload.DefaultConfig())
 //	res, _ := sgxpreload.Run(w, sgxpreload.Config{Scheme: sgxpreload.SIP, Selection: sel})
+//
+// Run, RunStream, and RunShared are one run surface: Run is RunShared
+// with a single enclave, RunStream takes any AccessStream instead of a
+// Workload, and every input is pulled access by access, so no run holds
+// its trace in memory. All three reject an unknown Scheme and a SIP or
+// Hybrid run without a Selection.
 package sgxpreload
 
 import (
 	"fmt"
 
-	"sgxpreload/internal/dfp"
 	"sgxpreload/internal/mem"
 	"sgxpreload/internal/sim"
 	"sgxpreload/internal/sip"
@@ -187,82 +192,45 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// dfpConfig is the internal predictor configuration type.
-type dfpConfig = dfp.Config
-
-// defaultDFP returns the paper's predictor defaults.
-func defaultDFP() dfpConfig { return dfp.DefaultConfig() }
-
-func (c Config) dfpConfig() dfp.Config { return dfpFromPublic(c.DFP) }
-
-// convert turns public accesses into the internal representation,
-// validating pages against the workload's declared range.
-func convert(w Workload, in Input) ([]mem.Access, error) {
-	accs := w.Trace(in)
-	pages := w.Pages()
-	out := make([]mem.Access, len(accs))
-	for i, a := range accs {
-		if a.Page >= pages {
-			return nil, fmt.Errorf("sgxpreload: workload %q access %d touches page %d outside its declared %d pages",
-				w.Name(), i, a.Page, pages)
-		}
-		out[i] = mem.Access{
-			Site:    mem.SiteID(a.Site),
-			Page:    mem.PageID(a.Page),
-			Compute: a.Compute,
-			Write:   a.Write,
-		}
-	}
-	return out, nil
-}
-
-// Run replays the workload's Ref trace under cfg.
+// Run replays the workload's Ref input under cfg — RunShared with one
+// enclave. The input is pulled access by access: through Stream when w
+// implements Streamer, otherwise from Trace(Ref). An access outside
+// w.Pages() fails the run.
 func Run(w Workload, cfg Config) (Result, error) {
-	return RunInput(w, Ref, cfg)
-}
-
-// RunInput replays the given input's trace under cfg.
-func RunInput(w Workload, in Input, cfg Config) (Result, error) {
-	cfg = cfg.normalize()
-	trace, err := convert(w, in)
+	res, err := RunShared([]EnclaveSpec{{Workload: w, Scheme: cfg.Scheme, Selection: cfg.Selection, DFP: cfg.DFP}}, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	scfg := sim.Config{
-		Scheme:       sim.Scheme(cfg.Scheme),
-		Costs:        cfg.Costs,
-		EPCPages:     cfg.EPCPages,
-		ELRangePages: w.Pages(),
-		DFP:          cfg.dfpConfig(),
-	}
-	if cfg.Selection != nil {
-		scfg.Selection = cfg.Selection.sel
-	}
-	res, err := sim.Run(trace, scfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return resultFromSim(res), nil
+	return res[0].Result, nil
 }
 
 // Profile runs the workload's Train input through the SIP classifier and
 // selects instrumentation sites at cfg.Threshold — the library equivalent
-// of the paper's LLVM profiling-and-instrumentation pass.
+// of the paper's LLVM profiling-and-instrumentation pass. The input is
+// streamed like Run's; an access outside w.Pages() fails the profile.
 func Profile(w Workload, cfg Config) (*Selection, error) {
 	cfg = cfg.normalize()
-	trace, err := convert(w, Train)
+	pages := w.Pages()
+	cl, err := sip.NewClassifier(cfg.EPCPages, pages, dfpFromPublic(cfg.DFP))
 	if err != nil {
 		return nil, err
 	}
-	cl, err := sip.NewClassifier(cfg.EPCPages, w.Pages(), cfg.dfpConfig())
-	if err != nil {
-		return nil, err
+	src := source(w, Train)
+	if c, ok := src.(mem.Closer); ok {
+		defer c.Close()
 	}
-	for _, a := range trace {
+	for i := 0; ; i++ {
+		a, ok := src.Next()
+		if !ok {
+			break
+		}
+		if uint64(a.Page) >= pages {
+			return nil, fmt.Errorf("sgxpreload: workload %q access %d touches page %d outside its declared %d pages",
+				w.Name(), i, a.Page, pages)
+		}
 		cl.Record(a.Site, a.Page)
 	}
-	sel := sip.Select(cl.Profile(), cfg.Threshold, 32)
-	return &Selection{sel: sel}, nil
+	return &Selection{sel: sip.Select(cl.Profile(), cfg.Threshold, 32)}, nil
 }
 
 // Benchmarks returns the names of the built-in benchmark models (the
@@ -299,12 +267,17 @@ func (b builtin) Trace(in Input) []Access {
 	accs := b.w.Generate(workload.Input(in))
 	out := make([]Access, len(accs))
 	for i, a := range accs {
-		out[i] = Access{
-			Site:    uint32(a.Site),
-			Page:    uint64(a.Page),
-			Compute: a.Compute,
-			Write:   a.Write,
-		}
+		out[i] = publicAccess(a)
 	}
 	return out
+}
+
+// publicAccess converts an engine access to the public form.
+func publicAccess(a mem.Access) Access {
+	return Access{Site: uint32(a.Site), Page: uint64(a.Page), Compute: a.Compute, Write: a.Write}
+}
+
+// internal converts a public access to the engine's form.
+func (a Access) internal() mem.Access {
+	return mem.Access{Site: mem.SiteID(a.Site), Page: mem.PageID(a.Page), Compute: a.Compute, Write: a.Write}
 }

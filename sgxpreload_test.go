@@ -118,6 +118,77 @@ func TestOutOfRangeWorkloadRejected(t *testing.T) {
 	if _, err := sgxpreload.Run(badWorkload{}, sgxpreload.Config{}); err == nil {
 		t.Fatal("out-of-range workload accepted")
 	}
+	if _, err := sgxpreload.Profile(badWorkload{}, sgxpreload.Config{}); err == nil {
+		t.Fatal("out-of-range workload profiled")
+	}
+}
+
+// edgeWorkload sweeps its whole 8-page range, so the sequential stream
+// reaches the last page and the predictor looks past the ELRANGE.
+type edgeWorkload struct{}
+
+func (edgeWorkload) Name() string  { return "edge" }
+func (edgeWorkload) Pages() uint64 { return 8 }
+func (edgeWorkload) Trace(sgxpreload.Input) []sgxpreload.Access {
+	out := make([]sgxpreload.Access, 8)
+	for i := range out {
+		out[i] = sgxpreload.Access{Site: 1, Page: uint64(i), Compute: 1000}
+	}
+	return out
+}
+
+func TestProfileStreamReachingLastPage(t *testing.T) {
+	sel, err := sgxpreload.Profile(edgeWorkload{}, sgxpreload.Config{EPCPages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sgxpreload.Run(edgeWorkload{}, sgxpreload.Config{Scheme: sgxpreload.Hybrid, EPCPages: 16, Selection: sel}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRejectsInvalidScheme(t *testing.T) {
+	w, err := sgxpreload.Benchmark("microbenchmark")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := func() sgxpreload.AccessStream {
+		return sgxpreload.LimitStream(sgxpreload.StreamFunc(func() (sgxpreload.Access, bool) {
+			return sgxpreload.Access{Page: 1}, true
+		}), 10)
+	}
+	entries := map[string]func(sgxpreload.Scheme) error{
+		"Run": func(s sgxpreload.Scheme) error {
+			_, err := sgxpreload.Run(w, sgxpreload.Config{Scheme: s})
+			return err
+		},
+		"RunStream": func(s sgxpreload.Scheme) error {
+			_, err := sgxpreload.RunStream(stream(), 16, sgxpreload.Config{Scheme: s})
+			return err
+		},
+		"RunShared": func(s sgxpreload.Scheme) error {
+			_, err := sgxpreload.RunShared([]sgxpreload.EnclaveSpec{
+				{Workload: w, Scheme: sgxpreload.Baseline},
+				{Workload: w, Scheme: s},
+			}, sgxpreload.DefaultConfig())
+			return err
+		},
+	}
+	for _, tc := range []struct {
+		name   string
+		scheme sgxpreload.Scheme
+	}{
+		{"SIP without a Selection", sgxpreload.SIP},
+		{"Hybrid without a Selection", sgxpreload.Hybrid},
+		{"unknown scheme", sgxpreload.Scheme(9)},
+		{"negative scheme", sgxpreload.Scheme(-1)},
+	} {
+		for entry, run := range entries {
+			if err := run(tc.scheme); err == nil {
+				t.Errorf("%s accepted a run with %s", entry, tc.name)
+			}
+		}
+	}
 }
 
 func TestDFPStopFires(t *testing.T) {

@@ -8,12 +8,11 @@ import (
 	"sgxpreload/internal/workload"
 )
 
-// Streaming API. Run materializes the whole trace before simulating;
-// RunStream instead pulls accesses one at a time, so peak memory is
-// independent of trace length — hour-long or synthetic unbounded
-// workloads simulate in O(1) space. Built-in benchmarks stream via
-// Stream (their generators run as suspended coroutines); custom
-// workloads implement Streamer or hand any AccessStream to RunStream.
+// Streaming API. Every run pulls its accesses one at a time, so peak
+// memory is independent of trace length — hour-long or synthetic
+// unbounded workloads simulate in O(1) space. Built-in benchmarks stream
+// via Stream (their generators run as suspended coroutines); custom
+// workloads implement Streamer, or hand any AccessStream to RunStream.
 
 // AccessStream is a pull-based access source: Next returns the next
 // access, or ok=false when the trace is exhausted. Implementations need
@@ -55,7 +54,7 @@ func LimitStream(src AccessStream, n uint64) AccessStream {
 
 // RunStream replays accesses pulled from src under cfg, on an enclave of
 // the given virtual range. Accesses outside the range fail the run, as
-// with a materialized workload trace. The engine looks one access ahead;
+// with a workload's trace. The engine looks one access ahead;
 // everything else about the simulation — scheme wiring, cost model,
 // results — is identical to Run.
 func RunStream(src AccessStream, pages uint64, cfg Config) (Result, error) {
@@ -65,42 +64,38 @@ func RunStream(src AccessStream, pages uint64, cfg Config) (Result, error) {
 	if pages == 0 {
 		return Result{}, fmt.Errorf("sgxpreload: RunStream needs the enclave page range")
 	}
-	cfg = cfg.normalize()
-	scfg := sim.Config{
-		Scheme:       sim.Scheme(cfg.Scheme),
-		Costs:        cfg.Costs,
-		EPCPages:     cfg.EPCPages,
-		ELRangePages: pages,
-		DFP:          cfg.dfpConfig(),
-	}
-	if cfg.Selection != nil {
-		scfg.Selection = cfg.Selection.sel
-	}
-	res, err := sim.RunStream(toInternalStream(src), scfg)
+	enc, err := EnclaveSpec{Scheme: cfg.Scheme, Selection: cfg.Selection, DFP: cfg.DFP}.enclave("stream", pages)
 	if err != nil {
 		return Result{}, err
 	}
-	return resultFromSim(res), nil
+	enc.Stream = toInternalStream(src)
+	res, err := run([]sim.Enclave{enc}, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0].Result, nil
 }
 
-// RunWorkloadStream replays the workload's input through the streaming
-// engine: the Streamer path when the workload implements it, and a
-// slice-backed stream over Trace(in) otherwise (correct, but without the
-// memory benefit).
-func RunWorkloadStream(w Workload, in Input, cfg Config) (Result, error) {
-	if s, ok := w.(Streamer); ok {
-		return RunStream(s.Stream(in), w.Pages(), cfg)
+// source opens the workload's input as an engine stream: a built-in
+// benchmark's generator directly, a Streamer's stream converted on the
+// fly, and otherwise a cursor over Trace(in). Pages are checked by the
+// consumer.
+func source(w Workload, in Input) mem.Stream {
+	switch w := w.(type) {
+	case builtin:
+		return w.w.Stream(workload.Input(in))
+	case Streamer:
+		return toInternalStream(w.Stream(in))
 	}
 	accs := w.Trace(in)
-	i := 0
-	return RunStream(StreamFunc(func() (Access, bool) {
-		if i >= len(accs) {
-			return Access{}, false
+	return mem.StreamFunc(func() (mem.Access, bool) {
+		if len(accs) == 0 {
+			return mem.Access{}, false
 		}
-		a := accs[i]
-		i++
-		return a, true
-	}), w.Pages(), cfg)
+		a := accs[0]
+		accs = accs[1:]
+		return a.internal(), true
+	})
 }
 
 // toInternalStream converts public accesses on the fly; bounds are
@@ -108,31 +103,8 @@ func RunWorkloadStream(w Workload, in Input, cfg Config) (Result, error) {
 func toInternalStream(src AccessStream) mem.Stream {
 	return mem.StreamFunc(func() (mem.Access, bool) {
 		a, ok := src.Next()
-		if !ok {
-			return mem.Access{}, false
-		}
-		return mem.Access{
-			Site:    mem.SiteID(a.Site),
-			Page:    mem.PageID(a.Page),
-			Compute: a.Compute,
-			Write:   a.Write,
-		}, true
+		return a.internal(), ok
 	})
-}
-
-// resultFromSim converts an internal result to the public form.
-func resultFromSim(res sim.Result) Result {
-	return Result{
-		Scheme:          Scheme(res.Scheme),
-		Cycles:          res.Cycles,
-		Accesses:        res.Accesses,
-		Hits:            res.Hits,
-		Faults:          res.Kernel.DemandFaults,
-		PreloadsStarted: res.Kernel.PreloadsStarted,
-		PreloadsDropped: res.Kernel.PreloadsDropped,
-		NotifyLoads:     res.Kernel.NotifyLoads,
-		StopFired:       res.Kernel.DFPStopped,
-	}
 }
 
 // Stream implements Streamer for built-in benchmarks: the workload
@@ -141,14 +113,6 @@ func (b builtin) Stream(in Input) AccessStream {
 	src := b.w.Stream(workload.Input(in))
 	return StreamFunc(func() (Access, bool) {
 		a, ok := src.Next()
-		if !ok {
-			return Access{}, false
-		}
-		return Access{
-			Site:    uint32(a.Site),
-			Page:    uint64(a.Page),
-			Compute: a.Compute,
-			Write:   a.Write,
-		}, true
+		return publicAccess(a), ok
 	})
 }

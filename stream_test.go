@@ -13,44 +13,69 @@ func TestBuiltinBenchmarksImplementStreamer(t *testing.T) {
 }
 
 func TestRunWorkloadStreamMatchesRun(t *testing.T) {
-	// The streaming path must be invisible in the results, for both the
-	// coroutine (Streamer) path and the slice-backed fallback.
-	w, err := Benchmark("deepsjeng")
+	// Run streams its workload, and the input path must be invisible in
+	// the results: a built-in's own generator, a foreign Streamer, and the
+	// Trace fallback all replay the same accesses, SIP-profiled schemes
+	// included.
+	for _, tc := range []struct {
+		bench  string
+		scheme Scheme
+	}{
+		{"lbm", DFPStop},
+		{"deepsjeng", Baseline},
+		{"deepsjeng", DFPStop},
+		{"microbenchmark", Hybrid},
+	} {
+		w, err := Benchmark(tc.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Scheme: tc.scheme}
+		if tc.scheme == SIP || tc.scheme == Hybrid {
+			if cfg.Selection, err = Profile(w, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := Run(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alt := range []Workload{onlyStreamer{noStreamer{w}}, noStreamer{w}} {
+			got, err := Run(alt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s/%s via %T diverges:\n  builtin %+v\n  %T %+v",
+					tc.bench, tc.scheme, alt, want, alt, got)
+			}
+		}
+	}
+	// A SIP request without a profile fails the same way on every path.
+	w, err := Benchmark("bwaves")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []Scheme{Baseline, DFPStop} {
-		cfg := Config{Scheme: scheme}
-		materialized, err := Run(w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed, err := RunWorkloadStream(w, Ref, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if materialized != streamed {
-			t.Errorf("%s: streamed run diverges:\n  run    %+v\n  stream %+v",
-				scheme, materialized, streamed)
-		}
-		fallback, err := RunWorkloadStream(noStreamer{w}, Ref, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if materialized != fallback {
-			t.Errorf("%s: slice-backed fallback diverges:\n  run      %+v\n  fallback %+v",
-				scheme, materialized, fallback)
+	for _, alt := range []Workload{w, onlyStreamer{noStreamer{w}}, noStreamer{w}} {
+		if _, err := Run(alt, Config{Scheme: SIP}); err == nil {
+			t.Errorf("%T: SIP run of bwaves without a Selection accepted", alt)
 		}
 	}
 }
 
 // noStreamer hides a workload's Streamer implementation to force the
-// materialized fallback in RunWorkloadStream.
+// Trace fallback.
 type noStreamer struct{ w Workload }
 
 func (n noStreamer) Name() string            { return n.w.Name() }
 func (n noStreamer) Pages() uint64           { return n.w.Pages() }
 func (n noStreamer) Trace(in Input) []Access { return n.w.Trace(in) }
+
+// onlyStreamer forwards a built-in's Streamer through a foreign type,
+// so Run takes the generic Streamer path instead of the built-in one.
+type onlyStreamer struct{ noStreamer }
+
+func (o onlyStreamer) Stream(in Input) AccessStream { return o.w.(Streamer).Stream(in) }
 
 func TestRunStreamCustomSource(t *testing.T) {
 	// A hand-written generator: sweep 4096 pages twice through a
