@@ -29,12 +29,13 @@ bench-micro:
 		-run '^$$' -bench '$(BENCH_MICRO)' -benchmem
 
 # Regenerate BENCH_engine.json: current microbenchmark + RunAll +
-# streamed-engine + trace-I/O numbers, with the previous committed
-# numbers carried forward as the baseline.
+# streamed-engine + generator-stream + trace-I/O numbers, with the
+# previous committed numbers carried forward as the baseline.
 bench-json:
 	{ $(GO) test ./internal/channel/ ./internal/epc/ ./internal/kernel/ \
 		-run '^$$' -bench '$(BENCH_MICRO)' -benchmem ; \
 	  $(GO) test ./internal/sim/ -run '^$$' -bench 'BenchmarkRunStream|BenchmarkStep' -benchmem ; \
+	  $(GO) test ./internal/workload/ -run '^$$' -bench 'BenchmarkWorkloadStream' -benchmem ; \
 	  $(GO) test ./internal/obs/ -run '^$$' -bench 'BenchmarkTraceWrite|BenchmarkStreamSink' -benchmem ; \
 	  $(GO) test ./internal/replay/ -run '^$$' -bench 'BenchmarkTraceParse' -benchmem ; \
 	  $(GO) test ./internal/experiments/ -run '^$$' -bench 'BenchmarkRunAll' -benchtime 2x ; } \
@@ -54,7 +55,7 @@ bench-compare:
 # One fast iteration of each benchmark; compilation + smoke for CI.
 bench-smoke:
 	$(GO) test ./internal/channel/ ./internal/epc/ ./internal/kernel/ ./internal/experiments/ \
-		-run '^$$' -bench . -benchtime 1x
+		./internal/workload/ -run '^$$' -bench . -benchtime 1x
 
 # The repo benchmark lives in its own module (perfbench/), which the root
 # `go test ./...` does not reach: vet and test it, then run one short

@@ -698,24 +698,40 @@ func taggedTracePath(path, tag string) string {
 }
 
 // repeatStream replays the workload's Ref trace n times back-to-back,
-// regenerating the coroutine stream at each cycle boundary (n == 0
+// regenerating the generator stream at each cycle boundary (n == 0
 // repeats forever). Memory stays O(1) at any n.
 func repeatStream(w *workload.Workload, n int) mem.Stream {
-	cur := w.Stream(workload.Ref)
-	cycle := 1
-	return mem.StreamFunc(func() (mem.Access, bool) {
-		for {
-			a, ok := cur.Next()
-			if ok {
-				return a, true
-			}
-			if n > 0 && cycle >= n {
-				return mem.Access{}, false
-			}
-			cycle++
-			cur = w.Stream(workload.Ref)
+	return &repeated{w: w, n: n, cycle: 1, cur: w.Stream(workload.Ref)}
+}
+
+// repeated is repeatStream's cursor: cur is the generator of the
+// current cycle, cycle counts from 1.
+type repeated struct {
+	w        *workload.Workload
+	n, cycle int
+	cur      mem.Stream
+}
+
+func (r *repeated) Next() (mem.Access, bool) {
+	for {
+		if a, ok := r.cur.Next(); ok {
+			return a, true
 		}
-	})
+		if r.n > 0 && r.cycle >= r.n {
+			return mem.Access{}, false
+		}
+		r.cycle++
+		r.cur = r.w.Stream(workload.Ref)
+	}
+}
+
+// Close releases the current cycle's generator and makes that cycle the
+// last, so a run that ends early leaves no generator behind.
+func (r *repeated) Close() {
+	r.n = r.cycle
+	if c, ok := r.cur.(mem.Closer); ok {
+		c.Close()
+	}
 }
 
 // writeMetrics exports the derived metrics: a text report, or the

@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"sgxpreload/internal/mem"
 	"sgxpreload/internal/replay"
+	"sgxpreload/internal/workload"
 )
 
 func TestList(t *testing.T) {
@@ -341,6 +343,37 @@ func TestStreamRepeat(t *testing.T) {
 	}
 	if n3 != 3*n1 {
 		t.Errorf("-repeat 3 ran %d accesses, want 3x%d", n3, n1)
+	}
+}
+
+func TestRepeatStreamClose(t *testing.T) {
+	// A repeated stream abandoned mid-cycle (an engine run that stops
+	// early, -repeat 0 under -serve) must release its current cycle's
+	// generator and stay ended.
+	w, err := workload.ByName("cactuBSSN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	before := runtime.NumGoroutine()
+	for i := 0; i < runs; i++ {
+		s := repeatStream(w, 0)
+		for j := 0; j < 100; j++ {
+			if _, ok := s.Next(); !ok {
+				t.Fatalf("unbounded repeat ended at %d", j)
+			}
+		}
+		c, ok := s.(mem.Closer)
+		if !ok {
+			t.Fatal("repeatStream does not implement mem.Closer")
+		}
+		c.Close()
+		if _, ok := s.Next(); ok {
+			t.Fatal("closed repeat stream still yields accesses")
+		}
+	}
+	if leaked := runtime.NumGoroutine() - before; leaked >= runs/2 {
+		t.Errorf("%d closed repeat streams left %d goroutines behind", runs, leaked)
 	}
 }
 

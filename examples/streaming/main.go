@@ -55,7 +55,8 @@ func main() {
 		dfp.Cycles, dfp.Faults, dfp.PreloadsStarted, sgxpreload.ImprovementPct(dfp, base))
 
 	// Run streams built-in benchmarks the same way: their generators run
-	// as coroutines suspended between accesses.
+	// as coroutines that hand over bounded blocks of accesses, so each
+	// stream holds O(1) memory however long the trace.
 	w, err := sgxpreload.Benchmark("lbm")
 	if err != nil {
 		log.Fatal(err)

@@ -66,3 +66,54 @@ func TestNoPageSentinel(t *testing.T) {
 		t.Fatal("NoPage collides with page 0")
 	}
 }
+
+// closingStream is an endless stream that counts its Close calls.
+type closingStream struct{ pulled, closed int }
+
+func (c *closingStream) Next() (Access, bool) {
+	c.pulled++
+	return Access{Page: PageID(c.pulled)}, true
+}
+
+func (c *closingStream) Close() { c.closed++ }
+
+func TestLimitClosesSourceAtCap(t *testing.T) {
+	// Consumers take the capped end for exhaustion and never Close, so
+	// Limit must release the source itself, once, as the cap is reached.
+	src := &closingStream{}
+	lim := Limit(src, 3)
+	for i := 0; i < 3; i++ {
+		if src.closed != 0 {
+			t.Fatalf("source closed after %d of 3 accesses", i)
+		}
+		if _, ok := lim.Next(); !ok {
+			t.Fatalf("limited stream ended at %d of 3", i)
+		}
+	}
+	if src.closed != 1 {
+		t.Fatalf("source closed %d times at the cap, want 1", src.closed)
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok := lim.Next(); ok {
+			t.Fatal("limited stream exceeded its cap")
+		}
+	}
+	lim.(Closer).Close()
+	if src.closed != 1 || src.pulled != 3 {
+		t.Errorf("after the cap: %d closes, %d pulls; want 1 and 3", src.closed, src.pulled)
+	}
+
+	// A zero cap releases the source on the first pull, and an early
+	// Close ends the stream.
+	zero := &closingStream{}
+	if _, ok := Limit(zero, 0).Next(); ok || zero.closed != 1 || zero.pulled != 0 {
+		t.Errorf("zero cap: ok=%v, %d closes, %d pulls", ok, zero.closed, zero.pulled)
+	}
+	early := &closingStream{}
+	lim = Limit(early, 10)
+	lim.Next()
+	lim.(Closer).Close()
+	if _, ok := lim.Next(); ok || early.closed != 1 {
+		t.Errorf("early Close: ok=%v, %d closes", ok, early.closed)
+	}
+}

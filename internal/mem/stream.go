@@ -63,11 +63,15 @@ func Collect(s Stream) []Access {
 
 // Limit returns a Stream that passes through at most n accesses of s —
 // the standard way to bound an unbounded generator (a CLI access cap, a
-// smoke test's trace length).
+// smoke test's trace length). A Closer source is closed the moment the
+// cap is reached: consumers treat the capped end as exhaustion and never
+// call Close, so waiting for one would leak the source.
 func Limit(s Stream, n uint64) Stream {
 	return &limitStream{src: s, left: n}
 }
 
+// limitStream holds src until the cap, the source's own end or Close;
+// src is nil afterwards.
 type limitStream struct {
 	src  Stream
 	left uint64
@@ -75,20 +79,26 @@ type limitStream struct {
 
 func (l *limitStream) Next() (Access, bool) {
 	if l.left == 0 {
+		l.Close()
 		return Access{}, false
 	}
 	a, ok := l.src.Next()
 	if !ok {
-		l.left = 0
+		l.Close()
 		return Access{}, false
 	}
-	l.left--
-	return a, ok
+	if l.left--; l.left == 0 {
+		l.Close()
+	}
+	return a, true
 }
 
-// Close forwards to the underlying stream when it holds resources.
+// Close ends the stream and closes the source once when it holds
+// resources.
 func (l *limitStream) Close() {
+	l.left = 0
 	if c, ok := l.src.(Closer); ok {
 		c.Close()
 	}
+	l.src = nil
 }

@@ -249,3 +249,28 @@ func BenchmarkRunStream(b *testing.B) {
 		}
 	}
 }
+
+func TestCappedStreamReleasesGenerator(t *testing.T) {
+	// A run whose generator stream is capped by mem.Limit ends at the cap
+	// as at exhaustion, without Close; the cap itself must release the
+	// generator's coroutine, or every capped run leaks one.
+	w, err := workload.ByName("lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	before := runtime.NumGoroutine()
+	for i := 0; i < runs; i++ {
+		enc := Enclave{Stream: mem.Limit(w.Stream(workload.Ref), 1000), Pages: w.ELRangePages(), Scheme: DFPStop}
+		res, err := solo(enc, SharedConfig{EPCPages: 2048})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Accesses != 1000 {
+			t.Fatalf("capped run made %d accesses, want 1000", res.Accesses)
+		}
+	}
+	if leaked := runtime.NumGoroutine() - before; leaked >= runs/2 {
+		t.Errorf("%d capped runs left %d goroutines behind", runs, leaked)
+	}
+}

@@ -119,51 +119,71 @@ func (w *Workload) Generate(in Input) []mem.Access {
 }
 
 // Stream returns a pull-based source producing exactly the accesses
-// Generate(in) materializes, one at a time, in O(1) memory: the push-
-// style generator runs as a coroutine (iter.Pull) that is suspended
-// between accesses, so arbitrarily long traces never exist as a slice.
+// Generate(in) materializes, in O(1) memory: the push-style generator
+// runs as a coroutine (iter.Pull) that fills a buffer of at most
+// blockLen accesses and is suspended while the consumer drains it, so
+// arbitrarily long traces never exist as a slice and the coroutine
+// switch is paid once per block rather than once per access. The buffer
+// grows with the block ramp and is then reused, so a stream allocates
+// nothing in steady state. Running ahead of the consumer within a block
+// changes no access: a generator's only state is its own rng.Source.
 // The stream is exhausted-or-Closed: draining it to the end releases the
 // coroutine, and Close releases it early (an abandoned engine run).
 func (w *Workload) Stream(in Input) mem.Stream {
-	next, stop := iter.Pull(func(yield func(mem.Access) bool) {
+	next, stop := iter.Pull(func(yield func([]mem.Access) bool) {
 		defer func() {
 			// A consumer that stops early unwinds the generator via the
-			// stopGen panic emit raises; anything else propagates.
+			// stopGen panic flush raises; anything else propagates.
 			if r := recover(); r != nil {
 				if _, ok := r.(stopGen); !ok {
 					panic(r)
 				}
 			}
 		}()
-		b := &builder{r: rng.New(seed(w.Name, in)), yield: yield}
+		b := &builder{r: rng.New(seed(w.Name, in)), yield: yield, fill: 1}
 		w.gen(in, b)
+		b.flush()
 	})
 	return &genStream{next: next, stop: stop}
 }
 
-// genStream adapts an iter.Pull coroutine to mem.Stream.
+// blockLen is the most accesses a streaming generator runs ahead of its
+// consumer. Blocks start at one access and double up to it, so a
+// consumer that reads only the first access or two (the engine's
+// one-access lookahead at construction) does not pay for a full block.
+const blockLen = 32
+
+// genStream adapts an iter.Pull coroutine yielding blocks to mem.Stream:
+// Next serves the current block and resumes the generator only once it
+// is drained. The block aliases the generator's buffer, which is safe
+// because the generator stays suspended until the next resume. After
+// exhaustion or stop, next keeps returning false, so the stream stays
+// ended.
 type genStream struct {
-	next func() (mem.Access, bool)
-	stop func()
-	done bool
+	next  func() ([]mem.Access, bool)
+	stop  func()
+	block []mem.Access
+	i     int
 }
 
 func (s *genStream) Next() (mem.Access, bool) {
-	if s.done {
-		return mem.Access{}, false
+	if s.i == len(s.block) {
+		block, ok := s.next()
+		if !ok {
+			s.Close() // drop the spent block: a finished stream pins no buffer
+			return mem.Access{}, false
+		}
+		s.block, s.i = block, 0
 	}
-	a, ok := s.next()
-	if !ok {
-		s.done = true
-		s.stop()
-	}
-	return a, ok
+	a := s.block[s.i]
+	s.i++
+	return a, true
 }
 
-// Close releases the generator coroutine; safe to call repeatedly and
-// after exhaustion.
+// Close releases the generator coroutine and drops any unread part of
+// the current block; safe to call repeatedly and after exhaustion.
 func (s *genStream) Close() {
-	s.done = true
+	s.block, s.i = nil, 0
 	s.stop()
 }
 
@@ -182,23 +202,37 @@ func seed(name string, in Input) uint64 {
 }
 
 // builder is the generators' output sink. In materializing mode (yield
-// nil) it accumulates the trace in out; in streaming mode each access is
-// yielded to the pulling consumer and never stored.
+// nil) it accumulates the whole trace in out; in streaming mode out is
+// the current block, handed to the pulling consumer once it holds fill
+// accesses and then reused.
 type builder struct {
 	r     *rng.Source
 	out   []mem.Access
-	yield func(mem.Access) bool
+	yield func([]mem.Access) bool
+	fill  int
 }
 
 // push hands one access to the active sink.
 func (b *builder) push(a mem.Access) {
-	if b.yield != nil {
-		if !b.yield(a) {
-			panic(stopGen{})
-		}
+	b.out = append(b.out, a)
+	if b.yield != nil && len(b.out) == b.fill {
+		b.flush()
+	}
+}
+
+// flush yields the pending block, if any, to the streaming consumer and
+// grows the next block's size toward blockLen.
+func (b *builder) flush() {
+	if len(b.out) == 0 {
 		return
 	}
-	b.out = append(b.out, a)
+	if !b.yield(b.out) {
+		panic(stopGen{})
+	}
+	b.out = b.out[:0]
+	if b.fill < blockLen {
+		b.fill *= 2
+	}
 }
 
 // emit appends one access.

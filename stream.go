@@ -11,7 +11,8 @@ import (
 // Streaming API. Every run pulls its accesses one at a time, so peak
 // memory is independent of trace length — hour-long or synthetic
 // unbounded workloads simulate in O(1) space. Built-in benchmarks stream
-// via Stream (their generators run as suspended coroutines); custom
+// via Stream (their generators run as coroutines that hand over bounded
+// blocks of accesses, so each stream holds O(1) memory); custom
 // workloads implement Streamer, or hand any AccessStream to RunStream.
 
 // AccessStream is a pull-based access source: Next returns the next
@@ -37,19 +38,11 @@ type StreamFunc func() (Access, bool)
 func (f StreamFunc) Next() (Access, bool) { return f() }
 
 // LimitStream caps src at n accesses — the standard way to bound an
-// unbounded generator for a finite run.
+// unbounded generator for a finite run. A source with a Close method
+// (a built-in benchmark's stream) is closed the moment the cap is
+// reached, since a run treats the capped end as exhaustion.
 func LimitStream(src AccessStream, n uint64) AccessStream {
-	var seen uint64
-	return StreamFunc(func() (Access, bool) {
-		if seen >= n {
-			return Access{}, false
-		}
-		a, ok := src.Next()
-		if ok {
-			seen++
-		}
-		return a, ok
-	})
+	return publicStream{mem.Limit(internalStream{src}, n)}
 }
 
 // RunStream replays accesses pulled from src under cfg, on an enclave of
@@ -68,7 +61,7 @@ func RunStream(src AccessStream, pages uint64, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	enc.Stream = toInternalStream(src)
+	enc.Stream = internalStream{src}
 	res, err := run([]sim.Enclave{enc}, cfg)
 	if err != nil {
 		return Result{}, err
@@ -85,7 +78,7 @@ func source(w Workload, in Input) mem.Stream {
 	case builtin:
 		return w.w.Stream(workload.Input(in))
 	case Streamer:
-		return toInternalStream(w.Stream(in))
+		return internalStream{w.Stream(in)}
 	}
 	accs := w.Trace(in)
 	return mem.StreamFunc(func() (mem.Access, bool) {
@@ -98,21 +91,42 @@ func source(w Workload, in Input) mem.Stream {
 	})
 }
 
-// toInternalStream converts public accesses on the fly; bounds are
-// checked by the engine at execution time.
-func toInternalStream(src AccessStream) mem.Stream {
-	return mem.StreamFunc(func() (mem.Access, bool) {
-		a, ok := src.Next()
-		return a.internal(), ok
-	})
+// internalStream converts a public stream's accesses on the fly;
+// bounds are checked by the engine at execution time. Close reaches the
+// source when it has one, so a run that ends early releases it.
+type internalStream struct{ src AccessStream }
+
+func (s internalStream) Next() (mem.Access, bool) {
+	a, ok := s.src.Next()
+	return a.internal(), ok
+}
+
+func (s internalStream) Close() {
+	if c, ok := s.src.(mem.Closer); ok {
+		c.Close()
+	}
+}
+
+// publicStream is internalStream's inverse, over an engine stream.
+type publicStream struct{ src mem.Stream }
+
+// Next implements AccessStream.
+func (s publicStream) Next() (Access, bool) {
+	a, ok := s.src.Next()
+	return publicAccess(a), ok
+}
+
+// Close releases the underlying stream when it holds resources.
+func (s publicStream) Close() {
+	if c, ok := s.src.(mem.Closer); ok {
+		c.Close()
+	}
 }
 
 // Stream implements Streamer for built-in benchmarks: the workload
-// generator runs as a coroutine suspended between accesses.
+// generator runs as a coroutine that hands over bounded blocks of
+// accesses, so memory stays O(1) per stream. Close releases a stream
+// abandoned before its end; draining it releases it too.
 func (b builtin) Stream(in Input) AccessStream {
-	src := b.w.Stream(workload.Input(in))
-	return StreamFunc(func() (Access, bool) {
-		a, ok := src.Next()
-		return publicAccess(a), ok
-	})
+	return publicStream{b.w.Stream(workload.Input(in))}
 }

@@ -1,6 +1,11 @@
 package sgxpreload
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"sgxpreload/internal/mem"
+)
 
 func TestBuiltinBenchmarksImplementStreamer(t *testing.T) {
 	w, err := Benchmark("lbm")
@@ -165,4 +170,82 @@ func TestSharedPredictorKnob(t *testing.T) {
 	}, DefaultConfig()); err == nil {
 		t.Error("unknown predictor name accepted")
 	}
+}
+
+// leakRuns is how many runs the goroutine-leak tests make: a leak of one
+// generator coroutine per run shows as that many extra goroutines.
+const leakRuns = 20
+
+// checkNoLeak fails if leakRuns calls of run left goroutines behind.
+func checkNoLeak(t *testing.T, what string, run func()) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	for i := 0; i < leakRuns; i++ {
+		run()
+	}
+	if leaked := runtime.NumGoroutine() - before; leaked >= leakRuns/2 {
+		t.Errorf("%d %s left %d goroutines behind", leakRuns, what, leaked)
+	}
+}
+
+func TestLimitStreamReleasesGenerator(t *testing.T) {
+	// A run ends at LimitStream's cap as at exhaustion, without Close, so
+	// the cap must release a built-in benchmark's generator.
+	w, err := Benchmark("lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNoLeak(t, "capped runs", func() {
+		res, err := RunStream(LimitStream(w.(Streamer).Stream(Ref), 1000), w.Pages(), Config{Scheme: DFPStop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Accesses != 1000 {
+			t.Fatalf("capped run made %d accesses, want 1000", res.Accesses)
+		}
+	})
+}
+
+// shortPages declares fewer pages than its stream touches, so runs and
+// profiles over it stop early with an error.
+type shortPages struct{ onlyStreamer }
+
+func (shortPages) Pages() uint64 { return 8 }
+
+func TestStreamAdaptersForwardClose(t *testing.T) {
+	// A built-in stream abandoned early, directly or behind a foreign
+	// Streamer that a failing run or profile closes, must release its
+	// generator through every public adapter.
+	w, err := Benchmark("lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNoLeak(t, "abandoned built-in streams", func() {
+		s := w.(Streamer).Stream(Ref)
+		s.Next()
+		c, ok := s.(mem.Closer)
+		if !ok {
+			t.Fatal("built-in stream has no Close")
+		}
+		c.Close()
+		if _, ok := s.Next(); ok {
+			t.Fatal("closed built-in stream still yields accesses")
+		}
+	})
+	short := shortPages{onlyStreamer{noStreamer{w}}}
+	checkNoLeak(t, "failed runs", func() {
+		if _, err := Run(short, Config{Scheme: DFPStop}); err == nil {
+			t.Fatal("run past the declared pages accepted")
+		}
+	})
+	checkNoLeak(t, "failed profiles", func() {
+		if _, err := Profile(short, DefaultConfig()); err == nil {
+			t.Fatal("profile past the declared pages accepted")
+		}
+	})
+	checkNoLeak(t, "capped streams closed early", func() {
+		s := LimitStream(w.(Streamer).Stream(Ref), 1000)
+		s.Next()
+		s.(mem.Closer).Close()
+	})
 }
